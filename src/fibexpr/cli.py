@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,8 @@ from .expr import (
     parse,
 )
 from .graph import (
+    InvalidSampling,
+    check_sampling,
     equivalent_by_expansion,
     equivalent_by_sampling,
     path_count,
@@ -48,7 +51,26 @@ METHODS = ("canonical", "middle", "fixed", "leftmost", "seeded", "gd")
 
 
 def default_prime() -> int:
-    return int(os.environ.get("FIBEXPR_PRIME", DEFAULT_PRIME))
+    raw = os.environ.get("FIBEXPR_PRIME")
+    if raw is None:
+        return DEFAULT_PRIME
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.UsageError(f"FIBEXPR_PRIME must be an integer, got {raw!r}")
+
+
+def false_pass_bound(n: int, trials: int, prime: int) -> str:
+    """((n-1)/prime)^trials in short scientific notation, computed through
+    its logarithm so that no bound underflows to zero."""
+    if n == 1:
+        return "0"
+    exponent = trials * math.log10((n - 1) / prime)
+    whole = math.floor(exponent)
+    mantissa = 10 ** (exponent - whole)
+    if round(mantissa, 1) >= 10:
+        mantissa, whole = mantissa / 10, whole + 1
+    return f"{mantissa:.1f}e{whole}"
 
 
 def _build(n, method, m, tie, seed, vertex):
@@ -114,13 +136,19 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
 @_method_opts
 @click.option("--mode", type=click.Choice(["expand", "modeval"]), default="expand",
               show_default=True)
-@click.option("--trials", type=int, default=32, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--prime", type=int, default=None, help="modulus (default FIBEXPR_PRIME or 2^31-1)")
 @click.option("--formula", "formula_file", type=click.Path(exists=True, dir_okay=False,
               path_type=Path), default=None,
               help="verify this formula file instead of generating one")
 def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_file):
     """Check an expression against the graph's canonical path polynomial."""
+    if mode == "modeval":
+        prime = default_prime() if prime is None else prime
+        try:
+            check_sampling(n, trials, prime)
+        except InvalidSampling as exc:
+            raise click.UsageError(str(exc))
     if formula_file is not None:
         try:
             e = parse(formula_file.read_text(encoding="utf-8"))
@@ -132,10 +160,11 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
         ok = equivalent_by_expansion(e, n)
         detail = f"{path_count(n)} monomials"
     else:
-        ok = equivalent_by_sampling(e, n, trials=trials, prime=prime or default_prime(),
-                                    seed=0)
+        ok = equivalent_by_sampling(e, n, trials=trials, prime=prime, seed=0)
         detail = f"{trials} modular trials"
     if ok:
+        if mode == "modeval":
+            detail += f", false-pass bound {false_pass_bound(n, trials, prime)}"
         click.echo(f"EQUIVALENT ({detail})")
     else:
         click.echo(f"NOT EQUIVALENT ({detail})")

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .expr import ExprError, Expression, Term, UNIT, ZERO, a, b, product, sumof
+from .expr import ExprError, Expression, UNIT, ZERO, _term_table, product, sumof
 from .graph import InvalidN, _check_n
 
 
@@ -87,12 +87,13 @@ def decompose(n: int, strategy: Strategy | None = None) -> Expression:
     _check_n(n)
     strategy = strategy if strategy is not None else MiddleLow()
     memo: dict[tuple, Expression] = {}
+    term = _term_table()
 
     def e(p: int, q: int) -> Expression:
         if q == p:
             return UNIT
         if q == p + 1:
-            return Term(a(p))
+            return term("a", p)
         key = (p, q)
         cached = memo.get(key)
         if cached is not None:
@@ -102,7 +103,7 @@ def decompose(n: int, strategy: Strategy | None = None) -> Expression:
             raise InvalidVertexChoice(f"strategy chose i={i} for interval ({p},{q})")
         res = sumof([
             product([e(p, i), e(i, q)]),
-            product([e(p, i - 1), Term(b(i - 1)), e(i + 1, q)]),
+            product([e(p, i - 1), term("b", i - 1), e(i + 1, q)]),
         ])
         memo[key] = res
         return res
@@ -139,6 +140,7 @@ def decompose_gd(n: int, spec: GdSpec) -> Expression:
     if spec.m < 2:
         raise InvalidM(f"need m >= 2, got {spec.m}")
     memo: dict[tuple, Expression] = {}
+    term = _term_table()
 
     def e(p: int, q: int) -> Expression:
         if q < p:
@@ -146,7 +148,7 @@ def decompose_gd(n: int, spec: GdSpec) -> Expression:
         if q == p:
             return UNIT
         if q == p + 1:
-            return Term(a(p))
+            return term("a", p)
         key = (p, q)
         cached = memo.get(key)
         if cached is not None:
@@ -170,7 +172,7 @@ def decompose_gd(n: int, spec: GdSpec) -> Expression:
                 right = q if j == k else (vs[j] - 1 if bypassed[j] else vs[j])
                 factors.append(e(left, right))
                 if j < k and bypassed[j]:
-                    factors.append(Term(b(vs[j] - 1)))
+                    factors.append(term("b", vs[j] - 1))
             summands.append(product(factors))
         res = sumof(summands)
         memo[key] = res

@@ -13,7 +13,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from itertools import chain, repeat
+from operator import attrgetter, mod, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
@@ -42,18 +44,25 @@ class ParseError(ExprError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class Label:
-    """One edge symbol: kind 'a' (step to v+1) or 'b' (step to v+2)."""
-
+class _LabelFields(NamedTuple):
     kind: str
     index: int
 
-    def __post_init__(self):
-        if self.kind not in ("a", "b"):
-            raise ValueError(f"label kind must be 'a' or 'b', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"label index must be >= 1, got {self.index}")
+
+class Label(_LabelFields):
+    """One edge symbol: kind 'a' (step to v+1) or 'b' (step to v+2).
+
+    A named tuple, so that hashing and comparison run in C: labels key every
+    assignment and every monomial.  Labels order by kind, then index."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int):
+        if kind not in ("a", "b"):
+            raise ValueError(f"label kind must be 'a' or 'b', got {kind!r}")
+        if index < 1:
+            raise ValueError(f"label index must be >= 1, got {index}")
+        return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -98,6 +107,21 @@ Expression = Union[_Sentinel, Term, Sum, Product]
 
 Monomial = frozenset  # of Label
 MonomialSet = frozenset  # of Monomial
+
+
+def _term_table():
+    """A Term constructor, term(kind, index), that hands out one shared Term
+    per label for as long as the returned function lives.  Builders keep one
+    per call, so equal leaves are one node and folds visit each label once."""
+    terms: dict[tuple, Term] = {}
+
+    def term(kind: str, index: int) -> Term:
+        t = terms.get((kind, index))
+        if t is None:
+            t = terms[kind, index] = Term(Label(kind, index))
+        return t
+
+    return term
 
 
 def product(parts: Iterable[Expression]) -> Expression:
@@ -260,29 +284,100 @@ class Assignment:
         return cls({lab: rng.randrange(1, prime) for lab in labels}, prime)
 
 
-def evaluate_mod(e: Expression, v: Assignment) -> int:
-    """Value of e modulo v.prime; UNIT -> 1, ZERO -> 0."""
-    p = v.prime
-    values = v.values
+def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
+    """The points of a scalar or batch evaluation, checked to share a prime."""
+    points = [v] if isinstance(v, Assignment) else list(v)
+    if any(pt.prime != points[0].prime for pt in points):
+        raise ValueError("all points of one evaluation must share a prime")
+    return points
 
-    def leaf(x):
-        if x is UNIT:
-            return 1
-        if x is ZERO:
-            return 0
-        try:
-            return values[x.label] % p
-        except KeyError:
-            raise UnassignedLabel(f"no value for label {x.label}") from None
 
-    def mul(x, cs):
-        r = 1
-        for c in cs:
-            r = r * c % p
-        return r
+def _parent_counts(e: Expression) -> Counter:
+    """Number of parent slots holding each node of e, keyed by node identity."""
+    seen: set[int] = set()
+    internal: list = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Sum, Product)) and id(x) not in seen:
+            seen.add(id(x))
+            internal.append(x)
+            stack.extend(x.children)
+    return Counter(map(id, chain.from_iterable(map(attrgetter("children"), internal))))
 
-    return _memoized(e, leaf=leaf, combine_sum=lambda x, cs: sum(cs) % p,
-                     combine_product=mul)
+
+def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
+    """Value of e modulo the prime of the assignment; UNIT -> 1, ZERO -> 0.
+
+    v is one Assignment, giving an int, or a sequence of Assignments that
+    share one prime, giving a list with one residue per point.  Either way
+    each distinct node is visited once, by an explicit stack, and its value
+    is the list of its residues at every point.  For a batch, a node's list
+    is dropped once its last parent has used it; with one point a node holds
+    a single residue, as a scalar memo would, so parents are not counted.
+    """
+    points = _as_batch(v)
+    if not points:
+        return []
+    p, k = points[0].prime, len(points)
+    moduli = repeat(p)
+    uses = _parent_counts(e) if k > 1 else None
+    memo: dict[int, list] = {}
+    by_label: dict[Label, list] = {}
+    # A frame is (node, iterator over its children, values of the children
+    # done so far); the bottom frame has the root as its only child.
+    frames = [(None, iter((e,)), [])]
+    while True:
+        x, todo, done = frames[-1]
+        for c in todo:
+            key = id(c)
+            r = memo.get(key)
+            if r is None:
+                if isinstance(c, (Sum, Product)):
+                    frames.append((c, iter(c.children), []))
+                    break
+                if c is UNIT:
+                    r = [1] * k
+                elif c is ZERO:
+                    r = [0] * k
+                else:
+                    lab = c.label
+                    r = by_label.get(lab)
+                    if r is None:
+                        try:
+                            r = by_label[lab] = [pt.values[lab] % p for pt in points]
+                        except KeyError:
+                            raise UnassignedLabel(f"no value for label {lab}") from None
+                _keep(memo, uses, key, r)
+            elif uses is not None:
+                uses[key] -= 1
+                if not uses[key]:
+                    del memo[key]
+            done.append(r)
+        else:
+            frames.pop()
+            if x is None:
+                r = done[0]
+                return r[0] if isinstance(v, Assignment) else r
+            if not done:  # an unsimplified empty Sum or Product
+                r = [0 if isinstance(x, Sum) else 1] * k
+            elif isinstance(x, Sum):
+                r = list(map(mod, map(sum, zip(*done)), moduli))
+            else:  # reduce after each factor, so residues stay below p^2
+                r = done[0]
+                for c in done[1:]:
+                    r = list(map(mod, map(mul, r, c), moduli))
+            _keep(memo, uses, id(x), r)
+            frames[-1][2].append(r)
+
+
+def _keep(memo: dict, uses: Counter | None, key: int, r: list):
+    """Memoise a node's residues at its first use if another use follows."""
+    if uses is None:
+        memo[key] = r
+    elif uses[key] > 1:
+        memo[key] = r
+        uses[key] -= 1
 
 
 def labels_of(e: Expression) -> Counter:

@@ -9,16 +9,19 @@ graphs are passed around as a bare integer.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from .expr import (
     Assignment,
     DEFAULT_EXPANSION_BOUND,
+    DEFAULT_PRIME,
     Expression,
     ExprError,
     Label,
     SizeExceeded,
-    Term,
     UnassignedLabel,
+    _as_batch,
+    _term_table,
     a,
     b,
     evaluate_mod,
@@ -30,6 +33,10 @@ from .expr import (
 
 class InvalidN(ExprError):
     """Vertex count outside the operation's domain."""
+
+
+class InvalidSampling(ExprError):
+    """Trial count or modulus that leaves the sampling bound meaningless."""
 
 
 def _check_n(n: int, minimum: int = 1):
@@ -101,28 +108,37 @@ def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Ex
     """Sequential-paths expression: the sum over all paths of the product of
     their edge labels, labels in source-to-sink order."""
     _check_n(n, minimum=2)
+    term = _term_table()
     summands = []
     for seq in path_vertex_sequences(n, max_paths):
-        labs = [a(v) if w == v + 1 else b(v) for v, w in zip(seq, seq[1:])]
-        summands.append(product(Term(lab) for lab in labs))
+        summands.append(product(term("a" if w == v + 1 else "b", v)
+                                for v, w in zip(seq, seq[1:])))
     return sumof(summands)
 
 
-def oracle_eval_mod(n: int, v: Assignment) -> int:
+def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
     """Path polynomial value via the two-step recurrence
-    V(k) = a_{k-1} V(k-1) + b_{k-2} V(k-2), without building any expression."""
+    V(k) = a_{k-1} V(k-1) + b_{k-2} V(k-2), without building any expression.
+
+    Like evaluate_mod, v is one Assignment (giving an int) or a sequence of
+    Assignments sharing one prime (giving one residue per point)."""
     _check_n(n)
-    p = v.prime
-    values = v.values
-    for lab in edges(n):
-        if lab not in values:
-            raise UnassignedLabel(f"no value for label {lab}")
-    if n == 1:
-        return 1 % p
-    prev, cur = 1, values[a(1)] % p  # V(1), V(2)
-    for k in range(3, n + 1):
-        prev, cur = cur, (values[a(k - 1)] * cur + values[b(k - 2)] * prev) % p
-    return cur
+    points = _as_batch(v)
+    a_labels = [a(k) for k in range(1, n)]
+    b_labels = [b(k) for k in range(1, n - 1)]
+    out = []
+    for pt in points:
+        p, values = pt.prime, pt.values
+        try:
+            a_vals = [values[lab] for lab in a_labels]
+            b_vals = [values[lab] for lab in b_labels]
+        except KeyError as exc:
+            raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
+        prev, cur = 1, (a_vals[0] if n > 1 else 1) % p  # V(1), V(2)
+        for ak, bk in zip(a_vals[1:], b_vals):
+            prev, cur = cur, (ak * cur + bk * prev) % p
+        out.append(cur)
+    return out[0] if isinstance(v, Assignment) else out
 
 
 def equivalent_by_expansion(e: Expression, n: int,
@@ -131,18 +147,64 @@ def equivalent_by_expansion(e: Expression, n: int,
     return expand(e, max_monomials) == frozenset(enumerate_paths(n, max_monomials))
 
 
+# Bases that make Miller-Rabin exact below 3.18 * 10^23, well past 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for m < 2^64
+    (and well beyond); a strong probable-prime test above that."""
+    if m < 2:
+        return False
+    for q in _WITNESSES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _WITNESSES:
+        x = pow(q, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_sampling(n: int, trials: int, prime: int):
+    """Raise InvalidSampling unless `trials` >= 1 and `prime` is a prime
+    above n-1, the degree of the path polynomial, which is what the
+    per-trial false-pass bound (n-1)/prime needs."""
+    if not isinstance(trials, int) or trials < 1:
+        raise InvalidSampling(f"need at least one trial, got {trials!r}")
+    if not isinstance(prime, int) or prime <= n - 1 or not is_prime(prime):
+        raise InvalidSampling(
+            f"modulus must be a prime greater than n-1 = {n - 1}, got {prime!r}")
+
+
 def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,
                            prime: int | None = None, seed: int = 0) -> bool:
     """Probabilistic check: e agrees with the path-polynomial oracle on
     `trials` random assignments.  Per-trial false-pass probability is at most
-    (n-1)/prime (degree bound over a field)."""
-    from .expr import DEFAULT_PRIME
+    (n-1)/prime (degree bound over a field), so a pass is wrong with
+    probability at most ((n-1)/prime)^trials.
 
-    prime = prime or DEFAULT_PRIME
+    The first point is checked on its own, so a wrong expression is almost
+    always rejected after one pass; the remaining points then go through
+    evaluate_mod and the oracle as one batch.  Points are drawn from `seed`
+    in trial order, so the verdict is that of checking one point per trial.
+    """
+    prime = DEFAULT_PRIME if prime is None else prime
+    _check_n(n)
+    check_sampling(n, trials, prime)
     rng = random.Random(seed)
     labs = edges(n)
-    for _ in range(trials):
-        v = Assignment.random(labs, prime, rng)
-        if evaluate_mod(e, v) != oracle_eval_mod(n, v):
-            return False
-    return True
+    first = [Assignment.random(labs, prime, rng)]
+    if evaluate_mod(e, first) != oracle_eval_mod(n, first):
+        return False
+    rest = [Assignment.random(labs, prime, rng) for _ in range(trials - 1)]
+    return not rest or evaluate_mod(e, rest) == oracle_eval_mod(n, rest)

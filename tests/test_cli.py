@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from fibexpr.cli import main
@@ -72,6 +73,49 @@ class TestVerify:
         result = run("verify", "--n", "4", "--formula", str(bad), "--mode", "expand")
         assert result.exit_code == 1
         assert "NOT EQUIVALENT" in result.output
+
+    def test_modeval_prints_the_false_pass_bound(self):
+        result = run("verify", "--n", "512", "--mode", "modeval", "--trials", "32")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "EQUIVALENT (32 modular trials, false-pass bound 1.1e-212)"]
+
+    def test_bound_does_not_underflow(self):
+        result = run("verify", "--n", "64", "--mode", "modeval", "--trials", "1000")
+        assert result.output.startswith("EQUIVALENT (1000 modular trials, false-pass bound ")
+        assert "bound 0" not in result.output
+
+    def test_rejected_modeval_has_no_bound(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("(a1a2+b1)a3+a1b1\n")
+        result = run("verify", "--n", "4", "--formula", str(bad), "--mode", "modeval")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["NOT EQUIVALENT (32 modular trials)"]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_too_few_trials_is_usage_error(self, trials):
+        result = run("verify", "--n", "64", "--mode", "modeval", "--trials", trials)
+        assert result.exit_code == 2
+        assert "EQUIVALENT" not in result.output
+
+    @pytest.mark.parametrize("prime", ["1", "4", "61"])
+    def test_bad_prime_is_usage_error(self, prime):
+        result = run("verify", "--n", "64", "--mode", "modeval", "--prime", prime)
+        assert result.exit_code == 2
+        assert "prime greater than n-1 = 63" in result.output
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "FIBEXPR_PRIME must be an integer"), ("9", "got 9")])
+    def test_bad_env_prime_is_usage_error(self, value, message):
+        result = run("verify", "--n", "64", "--mode", "modeval", env={"FIBEXPR_PRIME": value})
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_env_prime_is_used(self):
+        result = run("verify", "--n", "9", "--mode", "modeval", "--trials", "2",
+                     env={"FIBEXPR_PRIME": "11"})
+        assert result.output.splitlines() == [
+            "EQUIVALENT (2 modular trials, false-pass bound 5.3e-1)"]
 
     def test_good_formula_file(self, tmp_path):
         good = tmp_path / "good.txt"
