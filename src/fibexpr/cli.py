@@ -20,6 +20,8 @@ from . import __version__
 from .decompose import GdSpec, decompose_gd
 from .expr import (
     DEFAULT_PRIME,
+    DuplicateMonomial,
+    ExprError,
     ParseError,
     format_expression,
     metric_plus,
@@ -27,7 +29,6 @@ from .expr import (
     parse,
 )
 from .graph import (
-    InvalidSampling,
     check_sampling,
     equivalent_by_expansion,
     equivalent_by_sampling,
@@ -92,7 +93,19 @@ def _method_opts(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  An ExprError that a command leaves uncaught (an n,
+    m or size outside the domain of the operation) is a usage error: exit 2
+    with its message, no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ExprError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Generate, optimize, and verify algebraic expressions of Fibonacci graphs."""
@@ -145,10 +158,7 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
     """Check an expression against the graph's canonical path polynomial."""
     if mode == "modeval":
         prime = default_prime() if prime is None else prime
-        try:
-            check_sampling(n, trials, prime)
-        except InvalidSampling as exc:
-            raise click.UsageError(str(exc))
+        check_sampling(n, trials, prime)
     if formula_file is not None:
         try:
             e = parse(formula_file.read_text(encoding="utf-8"))
@@ -157,8 +167,11 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
     else:
         e = _build(n, method, m, tie, seed, vertex)
     if mode == "expand":
-        ok = equivalent_by_expansion(e, n)
         detail = f"{path_count(n)} monomials"
+        try:
+            ok = equivalent_by_expansion(e, n)
+        except DuplicateMonomial as exc:  # a coefficient above one
+            ok, detail = False, f"{detail}; {exc}"
     else:
         ok = equivalent_by_sampling(e, n, trials=trials, prime=prime, seed=0)
         detail = f"{trials} modular trials"

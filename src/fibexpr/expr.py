@@ -170,27 +170,34 @@ def simplify(e: Expression) -> Expression:
 
 
 def _memoized(e: Expression, leaf, combine_sum, combine_product):
-    """Bottom-up fold over the tree, memoized by node identity.
+    """Bottom-up fold over the DAG, memoized by node identity.
 
     Generated expressions share subtrees heavily (one node per interval), so
-    identity memoization keeps metrics and evaluation linear in the number of
-    distinct nodes rather than the printed size.
+    identity memoization keeps metrics and rendering linear in the number of
+    distinct nodes rather than the printed size.  The walk keeps an explicit
+    stack of frames, (node, iterator over its children, results of the
+    children done so far), so nesting depth is unbounded.
     """
     memo: dict[int, object] = {}
-
-    def go(x):
-        r = memo.get(id(x))
-        if r is None:
-            if isinstance(x, Sum):
-                r = combine_sum(x, [go(c) for c in x.children])
-            elif isinstance(x, Product):
-                r = combine_product(x, [go(c) for c in x.children])
-            else:
-                r = leaf(x)
-            memo[id(x)] = r
-        return r
-
-    return go(e)
+    # The bottom frame has the root as its only child.
+    frames = [(None, iter((e,)), [])]
+    while True:
+        x, todo, done = frames[-1]
+        for c in todo:
+            r = memo.get(id(c))
+            if r is None:
+                if isinstance(c, (Sum, Product)):
+                    frames.append((c, iter(c.children), []))
+                    break
+                r = memo[id(c)] = leaf(c)
+            done.append(r)
+        else:
+            frames.pop()
+            if x is None:
+                return done[0]
+            combine = combine_sum if isinstance(x, Sum) else combine_product
+            r = memo[id(x)] = combine(x, done)
+            frames[-1][2].append(r)
 
 
 def metric_terms(e: Expression) -> int:
@@ -219,55 +226,48 @@ def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> Monom
     Raises DuplicateMonomial if any monomial arises twice: a well-formed
     factoring of a path polynomial has all coefficients equal to one.
     """
-    memo: dict[int, frozenset] = {}
 
-    def go(x) -> frozenset:
-        r = memo.get(id(x))
-        if r is not None:
-            return r
+    def leaf(x) -> frozenset:
         if x is ZERO:
-            r = frozenset()
-        elif x is UNIT:
-            r = frozenset([frozenset()])
-        elif isinstance(x, Term):
-            r = frozenset([frozenset([x.label])])
-        elif isinstance(x, Sum):
-            out: set = set()
-            for c in x.children:
-                cset = go(c)
-                if out & cset:
-                    raise DuplicateMonomial(
-                        f"monomial appears in two summands: {sorted(map(str, next(iter(out & cset))))}"
-                    )
-                out |= cset
-                if len(out) > max_monomials:
-                    raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-            r = frozenset(out)
-        else:  # Product
-            acc: set = {frozenset()}
-            for c in x.children:
-                cset = go(c)
-                nxt: set = set()
-                for m1 in acc:
-                    for m2 in cset:
-                        u = m1 | m2
-                        if len(u) != len(m1) + len(m2):
-                            raise DuplicateMonomial(
-                                f"label repeated within a monomial: {sorted(map(str, m1 & m2))}"
-                            )
-                        if u in nxt:
-                            raise DuplicateMonomial(
-                                f"monomial produced twice in a product: {sorted(map(str, u))}"
-                            )
-                        nxt.add(u)
-                        if len(nxt) > max_monomials:
-                            raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-                acc = nxt
-            r = frozenset(acc)
-        memo[id(x)] = r
-        return r
+            return frozenset()
+        if x is UNIT:
+            return frozenset([frozenset()])
+        return frozenset([frozenset([x.label])])
 
-    return go(e)
+    def combine_sum(x, csets) -> frozenset:
+        out: set = set()
+        for cset in csets:
+            if out & cset:
+                raise DuplicateMonomial(
+                    f"monomial appears in two summands: {sorted(map(str, next(iter(out & cset))))}"
+                )
+            out |= cset
+            if len(out) > max_monomials:
+                raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+        return frozenset(out)
+
+    def combine_product(x, csets) -> frozenset:
+        acc: set = {frozenset()}
+        for cset in csets:
+            nxt: set = set()
+            for m1 in acc:
+                for m2 in cset:
+                    u = m1 | m2
+                    if len(u) != len(m1) + len(m2):
+                        raise DuplicateMonomial(
+                            f"label repeated within a monomial: {sorted(map(str, m1 & m2))}"
+                        )
+                    if u in nxt:
+                        raise DuplicateMonomial(
+                            f"monomial produced twice in a product: {sorted(map(str, u))}"
+                        )
+                    nxt.add(u)
+                    if len(nxt) > max_monomials:
+                        raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+            acc = nxt
+        return frozenset(acc)
+
+    return _memoized(e, leaf, combine_sum, combine_product)
 
 
 @dataclass
@@ -380,19 +380,21 @@ def _keep(memo: dict, uses: Counter | None, key: int, r: list):
         uses[key] -= 1
 
 
+def _count_labels(x, counts: list[Counter]) -> Counter:
+    out: Counter = Counter()
+    for c in counts:
+        out.update(c)
+    return out
+
+
 def labels_of(e: Expression) -> Counter:
     """Multiset of labels occurring in e (with multiplicity)."""
-    out: Counter = Counter()
-
-    def walk(x):
-        if isinstance(x, Term):
-            out[x.label] += 1
-        elif isinstance(x, (Sum, Product)):
-            for c in x.children:
-                walk(c)
-
-    walk(e)
-    return out
+    return _memoized(
+        e,
+        leaf=lambda x: Counter([x.label]) if isinstance(x, Term) else Counter(),
+        combine_sum=_count_labels,
+        combine_product=_count_labels,
+    )
 
 
 def is_read_once(e: Expression) -> bool:
@@ -413,107 +415,98 @@ def sp_parallel(e1: Expression, e2: Expression) -> Expression:
 def format_expression(e: Expression) -> str:
     """Render e in the text grammar: juxtaposed products, '+'-joined sums,
     parentheses only around sum factors inside a product."""
-    memo: dict[int, str] = {}
-
-    def go(x) -> str:
-        r = memo.get(id(x))
-        if r is not None:
-            return r
-        if x is UNIT:
-            r = "1"
-        elif x is ZERO:
-            r = "0"
-        elif isinstance(x, Term):
-            r = str(x.label)
-        elif isinstance(x, Sum):
-            r = "+".join(go(c) for c in x.children)
-        else:
-            parts = [f"({go(c)})" if isinstance(c, Sum) else go(c) for c in x.children]
-            r = "".join(parts)
-        memo[id(x)] = r
-        return r
-
-    return go(e)
+    return _memoized(
+        e,
+        leaf=lambda x: str(x.label) if isinstance(x, Term) else x.symbol,
+        combine_sum=lambda x, cs: "+".join(cs),
+        combine_product=lambda x, cs: "".join(
+            f"({s})" if isinstance(c, Sum) else s for c, s in zip(x.children, cs)),
+    )
 
 
-_TOKEN = re.compile(r"[ab]\d+|[1()+*]")
-_SPACE = re.compile(r"\s*")
-
-
-class _Parser:
-    """Recursive descent over:  sum := product ('+' product)* ;
-    product := factor (('*')? factor)* ; factor := label | '1' | '(' sum ')'."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def peek(self) -> str | None:
-        self.pos = _SPACE.match(self.text, self.pos).end()
-        if self.pos >= len(self.text):
-            return None
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return m.group()
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
-        self.pos += len(tok)
-        return tok
-
-    def parse_sum(self) -> Expression:
-        parts = [self.parse_product()]
-        while self.peek() == "+":
-            self.take()
-            parts.append(self.parse_product())
-        return sumof(parts)
-
-    def parse_product(self) -> Expression:
-        parts = [self.parse_factor()]
-        while True:
-            tok = self.peek()
-            if tok == "*":
-                self.take()
-                parts.append(self.parse_factor())
-            elif tok is not None and (tok == "1" or tok == "(" or tok[0] in "ab"):
-                parts.append(self.parse_factor())
-            else:
-                break
-        return product(parts)
-
-    def parse_factor(self) -> Expression:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a factor")
-        if tok == "1":
-            self.take()
-            return UNIT
-        if tok == "(":
-            self.take()
-            inner = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return inner
-        if tok[0] in "ab":
-            self.take()
-            index = int(tok[1:])
-            if index < 1:
-                self.error(f"label index must be >= 1 in {tok!r}")
-            return Term(Label(tok[0], index))
-        self.error(f"unexpected token {tok!r}")
+# One alternative per token kind, so that a match's lastindex names its kind;
+# whitespace and any other single character are tokens too, so that finditer
+# covers the text without gaps.
+_TOKEN = re.compile(r"([ab]\d+)|(\()|(\))|(\+)|(\*)|(1)|\s+|(.)", re.S)
+_LABEL, _OPEN, _CLOSE, _PLUS, _STAR, _ONE, _BAD = 1, 2, 3, 4, 5, 6, 7
 
 
 def parse(text: str) -> Expression:
-    """Parse expression text; the result is simplified."""
-    parser = _Parser(text)
-    expr = parser.parse_sum()
-    if parser.peek() is not None:
-        parser.error(f"trailing input {parser.peek()!r}")
-    return expr
+    """Parse expression text into a simplified, hash-consed DAG.
+
+    Grammar:  sum := product ('+' product)* ;
+              product := factor ('*'? factor)* ;
+              factor := label | '1' | '(' sum ')'.
+
+    One pass over the tokens with an explicit stack of open parentheses, so
+    nesting depth is unbounded.  Equal labels share one Term, and equal sums
+    and products (the same constructor over the same child nodes) share one
+    node, so a formula printed from a DAG parses back to a DAG of the same
+    size.  The tables live for one call.
+    """
+    term = _term_table()
+    leaves: dict[str, Term] = {}
+    nodes: dict[tuple, Expression] = {}  # (type, ids of children) -> node
+    built: dict[tuple, Expression] = {}  # (constructor, ids of parts) -> node
+
+    def build(make, parts: list) -> Expression:
+        """make(parts), interned; the parts are interned already."""
+        if len(parts) == 1:
+            return parts[0]
+        key = (make, *map(id, parts))
+        e = built.get(key)
+        if e is None:
+            e = make(parts)
+            if isinstance(e, (Sum, Product)):
+                e = nodes.setdefault((type(e), tuple(map(id, e.children))), e)
+            built[key] = e
+        return e
+
+    # Each open parenthesis saves the enclosing sum parts, product parts and
+    # its own position.  `want` is True while a factor must come next.
+    stack: list[tuple] = []
+    summands: list = []
+    factors: list = []
+    want = True
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == _LABEL:
+            tok = m.group()
+            t = leaves.get(tok)
+            if t is None:
+                index = int(tok[1:])
+                if index < 1:
+                    raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
+                t = leaves[tok] = term(tok[0], index)
+            factors.append(t)
+            want = False
+        elif kind is None:  # whitespace
+            continue
+        elif kind == _BAD:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        elif kind == _ONE:
+            factors.append(UNIT)
+            want = False
+        elif kind == _OPEN:
+            stack.append((summands, factors, m.start()))
+            summands, factors, want = [], [], True
+        elif want:
+            raise ParseError(f"unexpected token {m.group()!r}", m.start())
+        elif kind == _STAR:
+            want = True
+        elif kind == _PLUS:
+            summands.append(build(product, factors))
+            factors, want = [], True
+        elif not stack:
+            raise ParseError(f"trailing input {m.group()!r}", m.start())
+        else:  # _CLOSE
+            summands.append(build(product, factors))
+            inner = build(sumof, summands)
+            summands, factors, _ = stack.pop()
+            factors.append(inner)
+    if want:
+        raise ParseError("expected a factor", len(text))
+    if stack:
+        raise ParseError(f"expected ')' to close the '(' at {stack[-1][2]}", len(text))
+    summands.append(build(product, factors))
+    return build(sumof, summands)

@@ -143,8 +143,12 @@ def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
 
 def equivalent_by_expansion(e: Expression, n: int,
                             max_monomials: int = DEFAULT_EXPANSION_BOUND) -> bool:
-    """Exact check: does e expand to the path set of the n-vertex graph?"""
-    return expand(e, max_monomials) == frozenset(enumerate_paths(n, max_monomials))
+    """Exact check: does e expand to the path set of the n-vertex graph?
+
+    The paths come first, so an n with too many paths raises SizeExceeded
+    before e is expanded."""
+    paths = enumerate_paths(n, max_monomials)
+    return expand(e, max_monomials) == frozenset(paths)
 
 
 # Bases that make Miller-Rabin exact below 3.18 * 10^23, well past 2^64.
@@ -197,6 +201,8 @@ def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,
     always rejected after one pass; the remaining points then go through
     evaluate_mod and the oracle as one batch.  Points are drawn from `seed`
     in trial order, so the verdict is that of checking one point per trial.
+    An expression with a label that is not an edge of the graph is not
+    equivalent.
     """
     prime = DEFAULT_PRIME if prime is None else prime
     _check_n(n)
@@ -204,7 +210,11 @@ def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,
     rng = random.Random(seed)
     labs = edges(n)
     first = [Assignment.random(labs, prime, rng)]
-    if evaluate_mod(e, first) != oracle_eval_mod(n, first):
+    try:
+        value = evaluate_mod(e, first)
+    except UnassignedLabel:  # e uses an edge the graph does not have
+        return False
+    if value != oracle_eval_mod(n, first):
         return False
     rest = [Assignment.random(labs, prime, rng) for _ in range(trials - 1)]
     return not rest or evaluate_mod(e, rest) == oracle_eval_mod(n, rest)

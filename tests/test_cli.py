@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -122,6 +126,48 @@ class TestVerify:
         good.write_text(format_expression(build_expression(10, "middle")))
         result = run("verify", "--n", "10", "--formula", str(good), "--mode", "expand")
         assert result.exit_code == 0
+
+    def test_label_outside_the_graph_is_not_equivalent(self, tmp_path):
+        formula = tmp_path / "f.txt"
+        formula.write_text("a1\n")
+        result = run("verify", "--n", "1", "--formula", str(formula), "--mode", "modeval")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["NOT EQUIVALENT (32 modular trials)"]
+
+    def test_duplicate_monomial_is_not_equivalent(self, tmp_path):
+        formula = tmp_path / "f.txt"
+        formula.write_text("(a1+b1)(a2+1)+b1\n")
+        result = run("verify", "--n", "3", "--formula", str(formula), "--mode", "expand")
+        assert result.exit_code == 1
+        assert result.output.startswith("NOT EQUIVALENT (2 monomials; ")
+        assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    ("expr --n 0", "need an integer n >= 1, got 0"),
+    ("verify --n 0 --mode modeval", "need an integer n >= 1, got 0"),
+    ("optimize --n 2", "need an integer n >= 3, got 2"),
+    ("expr --n 9 --method gd --m 1", "need m >= 2, got 1"),
+    ("fit --m 2 --n-list 1,2,3,4", "too small to fit"),
+    ("expr --n 40 --method canonical", "paths exceeds bound"),
+    ("verify --n 40 --mode expand", "paths exceeds bound"),
+])
+def test_domain_errors_exit_2_without_traceback(args, message):
+    result = run(*args.split())
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and message in result.output
+    assert "Traceback" not in result.output
+
+
+def test_python_m_fibexpr_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-m", "fibexpr", "expr", "--n", "0"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert "need an integer n >= 1" in result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 class TestOptimizeSpecialFit:

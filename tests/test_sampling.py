@@ -9,6 +9,7 @@ import pytest
 from fibexpr.decompose import GdSpec, Seeded, decompose, decompose_gd
 from fibexpr.expr import (
     Assignment,
+    DuplicateMonomial,
     Product,
     Sum,
     Term,
@@ -20,6 +21,9 @@ from fibexpr.expr import (
     evaluate_mod,
     expand,
     format_expression,
+    labels_of,
+    metric_plus,
+    metric_terms,
     parse,
     sumof,
 )
@@ -53,6 +57,14 @@ def distinct_terms(e):
         elif isinstance(x, (Sum, Product)):
             stack.extend(x.children)
     return list(seen.values())
+
+
+def deep_chain(depth):
+    """((a1 + b1) a2 + b1) a2 ... nested `depth` levels deep."""
+    e = Term(a(1))
+    for _ in range(depth):
+        e = Product((Sum((e, Term(b(1)))), Term(a(2))))
+    return e
 
 
 EXPRESSIONS = {  # name -> (n, builder)
@@ -107,9 +119,7 @@ class TestBatchedEvaluation:
 
     def test_deep_chain_needs_no_recursion(self):
         depth = 5000
-        e = Term(a(1))
-        for _ in range(depth):
-            e = Product((Sum((e, Term(b(1)))), Term(a(2))))
+        e = deep_chain(depth)
         pts = points(3, 4)
         want = []
         for pt in pts:
@@ -119,6 +129,27 @@ class TestBatchedEvaluation:
             want.append(value)
         assert evaluate_mod(e, pts) == want
         assert evaluate_mod(e, pts[0]) == want[0]
+
+
+class TestDeepFolds:
+    depth = 5000
+
+    def test_metrics(self):
+        e = deep_chain(self.depth)
+        assert metric_terms(e) == 2 * self.depth + 1
+        assert metric_plus(e) == self.depth
+
+    def test_format_and_labels(self):
+        e = deep_chain(self.depth)
+        text = format_expression(e)
+        assert text == "(" * self.depth + "a1" + "+b1)a2" * self.depth
+        assert labels_of(e) == {a(1): 1, b(1): self.depth, a(2): self.depth}
+        assert metric_terms(parse(text)) == 2 * self.depth + 1
+
+    def test_expand(self):
+        # a2 is a factor at every level, so the monomials repeat it
+        with pytest.raises(DuplicateMonomial, match="label repeated"):
+            expand(deep_chain(self.depth))
 
 
 class TestBatchedOracle:
@@ -207,6 +238,10 @@ class TestSamplingVerdicts:
     def test_small_prime_cannot_pass_a_wrong_expression(self):
         with pytest.raises(InvalidSampling):
             equivalent_by_sampling(drop_summand(decompose(40), 0), 40, prime=3)
+
+    @pytest.mark.parametrize("text, n", [("a1", 1), ("a1a2+b1+b2", 3), ("a1a2a3+b1", 3)])
+    def test_label_outside_the_graph_is_not_equivalent(self, text, n):
+        assert not equivalent_by_sampling(parse(text), n)
 
     def test_smallest_valid_modulus(self):
         assert equivalent_by_sampling(decompose(40), 40, prime=41, trials=8)
