@@ -93,13 +93,63 @@ class Term:
     label: Label
 
 
-@dataclass(frozen=True)
-class Sum:
+class _Internal:
+    """Structural equality and hashing for Sum and Product, without recursion.
+
+    The hash is computed on first use, bottom-up with an explicit stack, and
+    cached on each node; construction does no extra work.  Equality walks
+    pairs of nodes with an explicit stack and visits each pair once, so two
+    DAGs that share no nodes compare in time linear in their distinct nodes.
+    """
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                x = stack[-1]
+                todo = [c for c in x.children
+                        if isinstance(c, _Internal) and c._hash is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                if x._hash is None:
+                    object.__setattr__(x, "_hash", hash((type(x), x.children)))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        seen: set[tuple] = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y):
+                return False
+            if not isinstance(x, _Internal):
+                if x != y:
+                    return False
+                continue
+            if (id(x), id(y)) in seen:
+                continue
+            if len(x.children) != len(y.children):
+                return False
+            seen.add((id(x), id(y)))
+            stack.extend(zip(x.children, y.children))
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Sum(_Internal):
     children: tuple  # length >= 2, no Sum children in simplified form
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False)
+class Product(_Internal):
     children: tuple  # length >= 2, no Product/UNIT children in simplified form
 
 

@@ -15,6 +15,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .decompose import GdSpec, InvalidM, decompose, decompose_gd
 from .expr import ExprError, Expression, metric_plus, metric_terms
@@ -25,26 +26,31 @@ class DegenerateFit(ExprError):
     """Not enough spread in the data points to estimate an exponent."""
 
 
+# The metric of the two-vertex graph: one term (a1), no plus operator.
+_AT_2 = {"T": 1, "P": 0}
+
+
 @lru_cache(maxsize=None)
+def _middle_recurrence(n: int, at_2: int) -> int:
+    """Metric of the middle-split expression on n vertices, given its value
+    at_2 on two vertices (0 on one vertex, for both metrics)."""
+    if n <= 2:
+        return 0 if n == 1 else at_2
+    return (_middle_recurrence((n + 1) // 2, at_2) + _middle_recurrence(n // 2 + 1, at_2)
+            + _middle_recurrence((n + 1) // 2 - 1, at_2) + _middle_recurrence(n // 2, at_2)
+            + 1)
+
+
 def recurrence_T(n: int) -> int:
     """Term count of the optimal (middle-split) decomposition expression."""
     _check_n(n)
-    if n == 1:
-        return 0
-    if n == 2:
-        return 1
-    return (recurrence_T((n + 1) // 2) + recurrence_T(n // 2 + 1)
-            + recurrence_T((n + 1) // 2 - 1) + recurrence_T(n // 2) + 1)
+    return _middle_recurrence(n, _AT_2["T"])
 
 
-@lru_cache(maxsize=None)
 def recurrence_P(n: int) -> int:
     """Plus-operator count of the optimal decomposition expression."""
     _check_n(n)
-    if n in (1, 2):
-        return 0
-    return (recurrence_P((n + 1) // 2) + recurrence_P(n // 2 + 1)
-            + recurrence_P((n + 1) // 2 - 1) + recurrence_P(n // 2) + 1)
+    return _middle_recurrence(n, _AT_2["P"])
 
 
 def middle_vertices(p: int, q: int) -> set:
@@ -63,15 +69,20 @@ class IntervalTable:
             raise ValueError(f"metric must be 'T' or 'P', got {metric!r}")
         self.n = n
         self.metric = metric
-        best = [None, 0, 1 if metric == "T" else 0]  # index = interval length
+        # Indexed by interval length.  With pair[k] = best[k] + best[k+1],
+        # splitting at offset d costs pair[d] + pair[length-1-d] + 1; d and
+        # length-1-d cost the same, so only d <= (length-1)/2 is tried.
+        best = [None, 0, _AT_2[metric]]
+        pair = [None, best[1] + best[2]]
         arg_offsets: list[set] = [set(), set(), set()]
         for length in range(3, n + 1):
-            candidates = {}
-            for d in range(1, length - 1):  # i = p + d
-                candidates[d] = best[d + 1] + best[length - d] + best[d] + best[length - d - 1] + 1
-            low = min(candidates.values())
-            best.append(low)
-            arg_offsets.append({d for d, v in candidates.items() if v == low})
+            h = (length - 1) // 2
+            candidates = list(map(add, pair[1:h + 1], pair[length - 2:length - 2 - h:-1]))
+            low = min(candidates)
+            best.append(low + 1)
+            pair.append(best[-2] + best[-1])
+            low_ds = [d for d, v in enumerate(candidates, 1) if v == low]
+            arg_offsets.append({*low_ds, *(length - 1 - d for d in low_ds)})
         self._best = best
         self._arg_offsets = arg_offsets
 
@@ -108,19 +119,28 @@ class TheoremReport:
 
 def verify_theorem1(n_max: int) -> TheoremReport:
     """Check that the T-metric argmin of every interval of every n <= n_max
-    is exactly the middle vertex set."""
+    is exactly the middle vertex set.
+
+    One table for (1, n_max) answers every n: minima and argmin offsets
+    depend only on interval length, so the table for n is a prefix of it,
+    and both the argmin and the middle set of (p, q) are p plus offsets
+    that depend only on q - p.  Checking each length once therefore checks
+    all (n, p, q); `checked` counts those, sum (n-1)(n-2)/2 = C(n_max, 3).
+    A length that fails is reported at every (n, p, q) it covers, in the
+    order of n, then length, then p."""
     _check_n(n_max, minimum=3)
-    violations = []
-    checked = 0
-    for n in range(3, n_max + 1):
-        table = min_metric(n, "T")
-        for p, q in table.intervals():
-            checked += 1
-            got = table.argmin_vertices(p, q)
-            want = middle_vertices(p, q)
-            if got != want:
-                violations.append((n, p, q, sorted(got), sorted(want)))
-    return TheoremReport(n_max, checked, violations)
+    table = min_metric(n_max, "T")
+    bad = []  # (length, argmin, middle set) of (1, length), per failing length
+    for length in range(3, n_max + 1):
+        got = sorted(table.argmin_vertices(1, length))
+        want = sorted(middle_vertices(1, length))
+        if got != want:
+            bad.append((length, got, want))
+    violations = [(n, p, p + length - 1, [v + p - 1 for v in got], [v + p - 1 for v in want])
+                  for n in range(3, n_max + 1)
+                  for length, got, want in bad if length <= n
+                  for p in range(1, n - length + 2)]
+    return TheoremReport(n_max, math.comb(n_max, 3), violations)
 
 
 @dataclass
@@ -135,11 +155,9 @@ def special_values(n_max: int) -> SpecialValuesReport:
     """Values of n whose top-interval P-argmin strictly exceeds the middle set,
     i.e. graphs with several minimum-plus first-step decompositions."""
     _check_n(n_max, minimum=7)
-    special = []
-    for n in range(7, n_max + 1):
-        table = min_metric(n, "P")
-        if table.argmin_vertices(1, n) > middle_vertices(1, n):
-            special.append(n)
+    table = min_metric(n_max, "P")
+    special = [n for n in range(7, n_max + 1)
+               if table.argmin_vertices(1, n) > middle_vertices(1, n)]
 
     groups = []
     for n in special:

@@ -86,8 +86,9 @@ def crit_theorem1():
 
 
 def crit_theorem2():
+    table = min_metric(63, "P")
     for n in range(3, 64):
-        if min_metric(n, "P").min_value() != recurrence_P(n):
+        if table.min_value(1, n) != recurrence_P(n):
             return False, f"mismatch at n={n}"
     return True, "n=3..63 middle split attains the P minimum"
 

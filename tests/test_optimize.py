@@ -2,11 +2,13 @@
 
 import pytest
 
+from fibexpr import optimize
 from fibexpr.decompose import MiddleLow, decompose
 from fibexpr.expr import metric_plus, metric_terms
 from fibexpr.graph import InvalidN
 from fibexpr.optimize import (
     DegenerateFit,
+    IntervalTable,
     build_expression,
     complexity_table,
     exponent_fit,
@@ -18,6 +20,157 @@ from fibexpr.optimize import (
     special_values,
     verify_theorem1,
 )
+
+
+class ReferenceTable:
+    """The literal four-term interval DP, one table per n."""
+
+    def __init__(self, n, metric):
+        self.n = n
+        best = [None, 0, 1 if metric == "T" else 0]  # index = interval length
+        arg_offsets = [set(), set(), set()]
+        for length in range(3, n + 1):
+            candidates = {}
+            for d in range(1, length - 1):  # i = p + d
+                candidates[d] = best[d + 1] + best[length - d] + best[d] + best[length - d - 1] + 1
+            low = min(candidates.values())
+            best.append(low)
+            arg_offsets.append({d for d, v in candidates.items() if v == low})
+        self._best = best
+        self._arg_offsets = arg_offsets
+
+    def min_value(self, p=1, q=None):
+        q = self.n if q is None else q
+        return self._best[q - p + 1]
+
+    def argmin_vertices(self, p=1, q=None):
+        q = self.n if q is None else q
+        return {p + d for d in self._arg_offsets[q - p + 1]}
+
+    def intervals(self):
+        for length in range(3, self.n + 1):
+            for p in range(1, self.n - length + 2):
+                yield p, p + length - 1
+
+
+def reference_theorem1(n):
+    """The per-n check at one n: its own table, each interval on its own."""
+    table = ReferenceTable(n, "T")
+    violations = []
+    checked = 0
+    for p, q in table.intervals():
+        checked += 1
+        got = table.argmin_vertices(p, q)
+        want = optimize.middle_vertices(p, q)
+        if got != want:
+            violations.append((n, p, q, sorted(got), sorted(want)))
+    return checked, violations
+
+
+def reference_theorem1_reports(n_last):
+    """n_max -> (checked, violations) of the per-n loop over n = 3..n_max,
+    for every n_max <= n_last; each n's check runs once."""
+    reports, checked, violations = {}, 0, []
+    for n in range(3, n_last + 1):
+        c, v = reference_theorem1(n)
+        checked, violations = checked + c, violations + v
+        reports[n] = (checked, violations)
+    return reports
+
+
+def reference_is_special(n):
+    """Whether n is special, from a table built for n alone."""
+    return ReferenceTable(n, "P").argmin_vertices(1, n) > optimize.middle_vertices(1, n)
+
+
+def reference_special(n_max, is_special):
+    """Special values up to n_max and their groups, as special_values did."""
+    special = [n for n in range(7, n_max + 1) if is_special[n]]
+    groups = []
+    for n in special:
+        if groups and n == groups[-1][1] + 1:
+            groups[-1] = (groups[-1][0], n)
+        else:
+            groups.append((n, n))
+    groups_ok = bool(groups) and groups[0][0] == 7
+    for (f0, l0), (f1, l1) in zip(groups, groups[1:]):
+        if f1 != 2 * f0 - 1 or (l1 != 2 * l0 + 1 and l1 != n_max):
+            groups_ok = False
+    if groups and groups[0] != (7, 7) and groups[0][1] != n_max:
+        groups_ok = False
+    return special, groups, groups_ok
+
+
+def reference_recurrence(n_max, at_2):
+    """Middle-split metric for n = 0..n_max, bottom up (index 0 unused)."""
+    values = [None, 0, at_2]
+    for n in range(3, n_max + 1):
+        h, k = (n + 1) // 2, n // 2 + 1
+        values.append(values[h] + values[k] + values[h - 1] + values[k - 1] + 1)
+    return values
+
+
+class TestAgainstPerNReference:
+    @pytest.mark.parametrize("metric", ["T", "P"])
+    def test_table_equals_literal_dp(self, metric):
+        table, ref = IntervalTable(200, metric), ReferenceTable(200, metric)
+        for length in range(1, 201):
+            for p in (1, 201 - length):
+                q = p + length - 1
+                assert table.min_value(p, q) == ref.min_value(p, q)
+                got = table.argmin_vertices(p, q)
+                assert isinstance(got, set)
+                assert got == ref.argmin_vertices(p, q)
+
+    def test_theorem1_reports(self):
+        reference = reference_theorem1_reports(90)
+        for n_max in range(3, 91):
+            report = verify_theorem1(n_max)
+            assert (report.checked, report.violations) == reference[n_max]
+            assert report.checked == sum((n - 1) * (n - 2) // 2 for n in range(3, n_max + 1))
+            assert report.ok
+
+    def test_theorem1_violations_in_per_n_order(self, monkeypatch):
+        bad_lengths = {5, 12, 29, 58, 87}
+
+        def wrong_middle(p, q):
+            # Wrong at a few lengths: shifted right at odd ones, widened at
+            # even ones; a function of q - p only, as the real middle set is.
+            want = middle_vertices(p, q)
+            if q - p + 1 not in bad_lengths:
+                return want
+            return {v + 1 for v in want} if (q - p) % 2 == 0 else want | {p + 1}
+
+        monkeypatch.setattr(optimize, "middle_vertices", wrong_middle)
+        reference = reference_theorem1_reports(90)
+        for n_max in range(3, 91):
+            report = verify_theorem1(n_max)
+            assert (report.checked, report.violations) == reference[n_max]
+            assert report.ok == (n_max < 5)
+        assert {q - p + 1 for _, p, q, _, _ in verify_theorem1(30).violations} == {5, 12, 29}
+
+    def test_special_values_reports(self):
+        is_special = {n: reference_is_special(n) for n in range(7, 91)}
+        for n_max in range(7, 91):
+            report = special_values(n_max)
+            assert (report.special, report.groups, report.groups_ok) == reference_special(
+                n_max, is_special)
+
+    def test_special_values_reports_with_patched_middle(self, monkeypatch):
+        # A smaller middle set makes more n special, so the groups break.
+        monkeypatch.setattr(optimize, "middle_vertices",
+                            lambda p, q: {(p + q) // 2} if q - p > 20 else middle_vertices(p, q))
+        is_special = {n: reference_is_special(n) for n in range(7, 91)}
+        for n_max in range(7, 91):
+            report = special_values(n_max)
+            assert (report.special, report.groups, report.groups_ok) == reference_special(
+                n_max, is_special)
+        assert not special_values(90).groups_ok
+
+    def test_recurrences_exact_to_4096(self):
+        want_t, want_p = reference_recurrence(4096, 1), reference_recurrence(4096, 0)
+        assert [recurrence_T(n) for n in range(1, 4097)] == want_t[1:]
+        assert [recurrence_P(n) for n in range(1, 4097)] == want_p[1:]
 
 
 class TestRecurrences:

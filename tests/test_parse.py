@@ -67,6 +67,25 @@ def test_parsed_dag_is_as_small_as_the_built_one(name):
     assert len(set(nodes)) == len(nodes)  # no two distinct nodes compare equal
 
 
+def test_parsed_copy_of_a_large_dag_is_equal_and_hashes_equal():
+    e = decompose(1024)
+    text = format_expression(e)
+    parsed = parse(text)
+    assert parsed == e and e == parsed
+    assert hash(parsed) == hash(e)
+    assert len(distinct_nodes(e)) + len(distinct_nodes(parsed)) == len(
+        {id(x) for x in distinct_nodes(e) + distinct_nodes(parsed)})  # no shared node
+    last = text.rindex("a1023")  # the last label, deep inside the formula
+    assert parse(text[:last] + "b1022" + text[last + 5:]) != e
+
+
+def test_sum_and_product_never_compare_equal():
+    a1, a2 = parse("a1"), parse("a2")
+    assert Sum((a1, a2)) != Product((a1, a2))
+    assert Sum((a1, a2)) == Sum((a1, a2)) and Sum((a1, a2)) != (a1, a2)
+    assert hash(Sum((a1, a2))) == hash(Sum((a1, a2)))
+
+
 def test_equal_subformulas_share_one_node():
     e = parse("(a1+a2)a3+(a1+a2)b1+a1(a3+b1)")
     first, second, third = e.children

@@ -59,9 +59,9 @@ def distinct_terms(e):
     return list(seen.values())
 
 
-def deep_chain(depth):
+def deep_chain(depth, leaf=a(1)):
     """((a1 + b1) a2 + b1) a2 ... nested `depth` levels deep."""
-    e = Term(a(1))
+    e = Term(leaf)
     for _ in range(depth):
         e = Product((Sum((e, Term(b(1)))), Term(a(2))))
     return e
@@ -145,6 +145,17 @@ class TestDeepFolds:
         assert text == "(" * self.depth + "a1" + "+b1)a2" * self.depth
         assert labels_of(e) == {a(1): 1, b(1): self.depth, a(2): self.depth}
         assert metric_terms(parse(text)) == 2 * self.depth + 1
+
+    def test_equality_and_hash(self):
+        e = deep_chain(self.depth)
+        twin, parsed = deep_chain(self.depth), parse(format_expression(e))
+        assert e == twin and twin == e and parsed == e
+        assert hash(e) == hash(twin) == hash(parsed)
+        assert {e: "chain"}[parsed] == "chain"
+        # the chains differ only in their innermost leaf
+        other = deep_chain(self.depth, leaf=a(3))
+        assert e != other and other != e
+        assert e != deep_chain(self.depth - 1)
 
     def test_expand(self):
         # a2 is a factor at every level, so the monomials repeat it
