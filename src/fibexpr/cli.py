@@ -24,6 +24,7 @@ from .expr import (
     ExprError,
     ParseError,
     format_expression,
+    formula_length,
     metric_plus,
     metric_terms,
     parse,
@@ -119,19 +120,23 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="write the formula to this file")
 def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
-    """Print an expression for the n-vertex graph with its complexity metrics."""
+    """Print an expression for the n-vertex graph with its complexity metrics.
+
+    The text of the formula is built only when it is written to --out or is
+    short enough to print; otherwise only its length is computed."""
     e = _build(n, method, m, tie, seed, vertex)
-    formula = format_expression(e)
+    length = formula_length(e)
     terms, plus = metric_terms(e), metric_plus(e)
+    show_inline = length <= MAX_CONSOLE_FORMULA
+    formula = format_expression(e) if show_inline or out is not None else None
     if out is not None:
         out.write_text(formula + "\n", encoding="utf-8", newline="\n")
-    show_inline = len(formula) <= MAX_CONSOLE_FORMULA
     if fmt == "json":
         payload = {"n": n, "method": method, "terms": terms, "plus": plus}
         if show_inline:
             payload["formula"] = formula
         else:
-            payload["formula_length"] = len(formula)
+            payload["formula_length"] = length
             if out is not None:
                 payload["formula_file"] = str(out)
         click.echo(json.dumps(payload))
@@ -140,7 +145,7 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
             click.echo(formula)
         else:
             where = f", written to {out}" if out is not None else "; use --out to save it"
-            click.echo(f"[formula of {len(formula)} characters{where}]")
+            click.echo(f"[formula of {length} characters{where}]")
         click.echo(f"terms={terms} plus={plus}")
 
 

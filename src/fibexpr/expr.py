@@ -142,13 +142,17 @@ class _Internal:
             stack.extend(zip(x.children, y.children))
         return True
 
+    def __repr__(self) -> str:
+        # not the children's reprs, which nest once per level
+        return f"{type(self).__name__}(<{len(self.children)} children>)"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(_Internal):
     children: tuple  # length >= 2, no Sum children in simplified form
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(_Internal):
     children: tuple  # length >= 2, no Product/UNIT children in simplified form
 
@@ -212,11 +216,12 @@ def sumof(parts: Iterable[Expression]) -> Expression:
 
 def simplify(e: Expression) -> Expression:
     """Rebuild e in simplified form; expansion is unchanged."""
-    if isinstance(e, Sum):
-        return sumof(simplify(c) for c in e.children)
-    if isinstance(e, Product):
-        return product(simplify(c) for c in e.children)
-    return e
+    return _memoized(
+        e,
+        leaf=lambda x: x,
+        combine_sum=lambda x, cs: sumof(cs),
+        combine_product=lambda x, cs: product(cs),
+    )
 
 
 def _memoized(e: Expression, leaf, combine_sum, combine_product):
@@ -474,11 +479,30 @@ def format_expression(e: Expression) -> str:
     )
 
 
+def formula_length(e: Expression) -> int:
+    """len(format_expression(e)), without building the text."""
+    return _memoized(
+        e,
+        leaf=lambda x: len(str(x.label)) if isinstance(x, Term) else 1,
+        combine_sum=lambda x, cs: sum(cs) + len(cs) - 1,
+        combine_product=lambda x, cs: sum(cs) + 2 * sum(isinstance(c, Sum) for c in x.children),
+    )
+
+
 # One alternative per token kind, so that a match's lastindex names its kind;
 # whitespace and any other single character are tokens too, so that finditer
 # covers the text without gaps.
 _TOKEN = re.compile(r"([ab]\d+)|(\()|(\))|(\+)|(\*)|(1)|\s+|(.)", re.S)
 _LABEL, _OPEN, _CLOSE, _PLUS, _STAR, _ONE, _BAD = 1, 2, 3, 4, 5, 6, 7
+
+# parse looks up a repeated parenthesised group by its first _GROUP_KEY
+# characters and confirms a candidate by comparing its last _GROUP_KEY
+# characters, then its whole text.  Each comparison is charged the characters
+# it compares; once the charges pass _GROUP_BUDGET times the length of the
+# text, the memo is off for the rest of the call, so its work stays linear
+# in the text however the groups nest.
+_GROUP_KEY = 16
+_GROUP_BUDGET = 4
 
 
 def parse(text: str) -> Expression:
@@ -492,12 +516,17 @@ def parse(text: str) -> Expression:
     nesting depth is unbounded.  Equal labels share one Term, and equal sums
     and products (the same constructor over the same child nodes) share one
     node, so a formula printed from a DAG parses back to a DAG of the same
-    size.  The tables live for one call.
+    size.  A parenthesised group whose text repeats one parsed earlier is
+    not tokenised again: it parses to the node of its first occurrence,
+    which is what parsing it would return.  The tables live for one call.
     """
     term = _term_table()
     leaves: dict[str, Term] = {}
     nodes: dict[tuple, Expression] = {}  # (type, ids of children) -> node
     built: dict[tuple, Expression] = {}  # (constructor, ids of parts) -> node
+    # first _GROUP_KEY characters -> {length: (start, node)}, first occurrences
+    groups: dict[str, dict[int, tuple]] = {}
+    budget = _GROUP_BUDGET * len(text)
 
     def build(make, parts: list) -> Expression:
         """make(parts), interned; the parts are interned already."""
@@ -512,48 +541,80 @@ def parse(text: str) -> Expression:
             built[key] = e
         return e
 
+    def recall(start: int):
+        """(node, length) of a parsed group whose text recurs at start, or
+        (None, 0).  The last characters are compared first, since they tell
+        most candidates that share the first ones apart."""
+        nonlocal budget
+        for length, (first, node) in groups.get(text[start:start + _GROUP_KEY], {}).items():
+            tail = min(length, _GROUP_KEY)
+            budget -= tail
+            if text.startswith(text[first + length - tail:first + length],
+                               start + length - tail):
+                budget -= length
+                if text.startswith(text[first:first + length], start):
+                    return node, length
+            if budget <= 0:
+                break
+        return None, 0
+
     # Each open parenthesis saves the enclosing sum parts, product parts and
     # its own position.  `want` is True while a factor must come next.
     stack: list[tuple] = []
     summands: list = []
     factors: list = []
     want = True
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == _LABEL:
-            tok = m.group()
-            t = leaves.get(tok)
-            if t is None:
-                index = int(tok[1:])
-                if index < 1:
-                    raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
-                t = leaves[tok] = term(tok[0], index)
-            factors.append(t)
-            want = False
-        elif kind is None:  # whitespace
-            continue
-        elif kind == _BAD:
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        elif kind == _ONE:
-            factors.append(UNIT)
-            want = False
-        elif kind == _OPEN:
-            stack.append((summands, factors, m.start()))
-            summands, factors, want = [], [], True
-        elif want:
-            raise ParseError(f"unexpected token {m.group()!r}", m.start())
-        elif kind == _STAR:
-            want = True
-        elif kind == _PLUS:
-            summands.append(build(product, factors))
-            factors, want = [], True
-        elif not stack:
-            raise ParseError(f"trailing input {m.group()!r}", m.start())
-        else:  # _CLOSE
-            summands.append(build(product, factors))
-            inner = build(sumof, summands)
-            summands, factors, _ = stack.pop()
-            factors.append(inner)
+    resume = 0  # where tokenising starts again after a recalled group
+    while True:
+        for m in _TOKEN.finditer(text, resume):
+            kind = m.lastindex
+            if kind == _LABEL:
+                tok = m.group()
+                t = leaves.get(tok)
+                if t is None:
+                    index = int(tok[1:])
+                    if index < 1:
+                        raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
+                    t = leaves[tok] = term(tok[0], index)
+                factors.append(t)
+                want = False
+            elif kind is None:  # whitespace
+                continue
+            elif kind == _BAD:
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            elif kind == _ONE:
+                factors.append(UNIT)
+                want = False
+            elif kind == _OPEN:
+                start = m.start()
+                if budget > 0:
+                    node, length = recall(start)
+                    if node is not None:
+                        factors.append(node)
+                        want = False
+                        resume = start + length
+                        break
+                stack.append((summands, factors, start))
+                summands, factors, want = [], [], True
+            elif want:
+                raise ParseError(f"unexpected token {m.group()!r}", m.start())
+            elif kind == _STAR:
+                want = True
+            elif kind == _PLUS:
+                summands.append(build(product, factors))
+                factors, want = [], True
+            elif not stack:
+                raise ParseError(f"trailing input {m.group()!r}", m.start())
+            else:  # _CLOSE
+                summands.append(build(product, factors))
+                inner = build(sumof, summands)
+                summands, factors, start = stack.pop()
+                factors.append(inner)
+                if budget > 0:
+                    groups.setdefault(text[start:start + _GROUP_KEY], {}).setdefault(
+                        m.end() - start, (start, inner))
+        else:
+            break
     if want:
         raise ParseError("expected a factor", len(text))
     if stack:

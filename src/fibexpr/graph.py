@@ -62,45 +62,31 @@ def path_count(n: int) -> int:
 def enumerate_paths(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[frozenset]:
     """All source-to-sink paths as label sets, ordered lexicographically by
     vertex sequence (the a-step is tried before the b-step)."""
-    _check_n(n)
-    if path_count(n) > max_paths:
-        raise SizeExceeded(f"{path_count(n)} paths exceeds bound {max_paths}")
-    paths: list[frozenset] = []
-
-    def walk(v: int, taken: list[Label]):
-        if v == n:
-            paths.append(frozenset(taken))
-            return
-        taken.append(a(v))
-        walk(v + 1, taken)
-        taken.pop()
-        if v + 2 <= n:
-            taken.append(b(v))
-            walk(v + 2, taken)
-            taken.pop()
-
-    walk(1, [])
-    return paths
+    seqs = path_vertex_sequences(n, max_paths)
+    step = {(v, v + 1): a(v) for v in range(1, n)}
+    step.update({(v, v + 2): b(v) for v in range(1, n - 1)})
+    return [frozenset(map(step.__getitem__, zip(seq, seq[1:]))) for seq in seqs]
 
 
 def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[tuple]:
-    """Vertex sequences of all paths, in the same order as enumerate_paths."""
+    """Vertex sequences of all paths, in the same order as enumerate_paths.
+
+    A depth-first walk with an explicit stack of path prefixes; the b-step
+    is pushed first so that the a-step is walked first."""
     _check_n(n)
     if path_count(n) > max_paths:
         raise SizeExceeded(f"{path_count(n)} paths exceeds bound {max_paths}")
     out: list[tuple] = []
-
-    def walk(v: int, seq: list[int]):
-        seq.append(v)
+    stack = [(1,)]
+    while stack:
+        seq = stack.pop()
+        v = seq[-1]
         if v == n:
-            out.append(tuple(seq))
-        else:
-            walk(v + 1, seq)
-            if v + 2 <= n:
-                walk(v + 2, seq)
-        seq.pop()
-
-    walk(1, [])
+            out.append(seq)
+            continue
+        if v + 2 <= n:
+            stack.append(seq + (v + 2,))
+        stack.append(seq + (v + 1,))
     return out
 
 

@@ -48,6 +48,22 @@ class TestExpr:
         assert out.exists()
         assert parse(out.read_text()) == build_expression(24, "canonical")
 
+    def test_formula_length_without_out_file(self):
+        result = run("expr", "--n", "24", "--method", "canonical", "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert "formula" not in payload and "formula_file" not in payload
+        assert payload["formula_length"] == len(
+            format_expression(build_expression(24, "canonical")))
+
+    def test_formula_too_long_to_build_is_summarised(self):
+        # 267,914,294 terms: the text is never built
+        result = run("expr", "--n", "40", "--method", "leftmost")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "[formula of 1110745166 characters; use --out to save it]",
+            "terms=267914294 plus=102334154"]
+
     def test_usage_error_exit_2(self):
         assert run("expr", "--n", "9", "--method", "gd").exit_code == 2
         assert run("expr", "--n", "9", "--method", "nope").exit_code == 2

@@ -81,6 +81,33 @@ class TestEnumeratePaths:
     def test_bound(self):
         with pytest.raises(SizeExceeded):
             enumerate_paths(40, max_paths=1000)
+        with pytest.raises(SizeExceeded):
+            path_vertex_sequences(40, max_paths=1000)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_recursive_walk(self, n):
+        paths, seqs = recursive_walk(n)
+        assert path_vertex_sequences(n) == seqs
+        assert enumerate_paths(n) == paths
+
+
+def recursive_walk(n):
+    """The label sets and the vertex sequences of all paths, a-step first,
+    by plain recursion: the reference for the iterative walker."""
+    paths, seqs = [], []
+
+    def walk(v, taken, seq):
+        seq = seq + [v]
+        if v == n:
+            paths.append(frozenset(taken))
+            seqs.append(tuple(seq))
+            return
+        walk(v + 1, taken + [a(v)], seq)
+        if v + 2 <= n:
+            walk(v + 2, taken + [b(v)], seq)
+
+    walk(1, [], [])
+    return paths, seqs
 
 
 class TestCanonicalExpression:

@@ -1,12 +1,27 @@
-"""The one-pass parser: error positions, unbounded nesting, hash-consing."""
+"""The one-pass parser: error positions, unbounded nesting, hash-consing and
+the memo of repeated parenthesised groups."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibexpr.decompose import GdSpec, Seeded, decompose, decompose_gd
-from fibexpr.expr import ParseError, Product, Sum, format_expression, parse
+from fibexpr.expr import (
+    UNIT,
+    Label,
+    ParseError,
+    Product,
+    Sum,
+    Term,
+    format_expression,
+    parse,
+    product,
+    sumof,
+)
 from fibexpr.graph import canonical_expression
+from fibexpr.optimize import build_expression
 
 
 def distinct_nodes(e):
@@ -106,3 +121,166 @@ def test_parse_returns_or_raises_parse_error(text):
         parse(text)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+
+
+# -- the group memo, against the token-loop parser it extends ----------------
+
+_REF_TOKEN = re.compile(r"([ab]\d+)|(\()|(\))|(\+)|(\*)|(1)|\s+|(.)", re.S)
+
+
+def reference_parse(text):
+    """The parser without the group memo: every token of the text is read.
+    Same grammar, same hash-consing, same errors."""
+    terms, nodes, built = {}, {}, {}
+
+    def build(make, parts):
+        if len(parts) == 1:
+            return parts[0]
+        key = (make, *map(id, parts))
+        if key not in built:
+            e = make(parts)
+            if isinstance(e, (Sum, Product)):
+                e = nodes.setdefault((type(e), tuple(map(id, e.children))), e)
+            built[key] = e
+        return built[key]
+
+    stack, summands, factors, want = [], [], [], True
+    for m in _REF_TOKEN.finditer(text):
+        kind, tok = m.lastindex, m.group()
+        if kind == 1:
+            if int(tok[1:]) < 1:
+                raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
+            if tok not in terms:
+                terms[tok] = Term(Label(tok[0], int(tok[1:])))
+            factors.append(terms[tok])
+            want = False
+        elif kind is None:
+            continue
+        elif kind == 7:
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        elif kind == 6:
+            factors.append(UNIT)
+            want = False
+        elif kind == 2:
+            stack.append((summands, factors, m.start()))
+            summands, factors, want = [], [], True
+        elif want:
+            raise ParseError(f"unexpected token {tok!r}", m.start())
+        elif kind == 5:
+            want = True
+        elif kind == 4:
+            summands.append(build(product, factors))
+            factors, want = [], True
+        elif not stack:
+            raise ParseError(f"trailing input {tok!r}", m.start())
+        else:
+            summands.append(build(product, factors))
+            inner = build(sumof, summands)
+            summands, factors, _ = stack.pop()
+            factors.append(inner)
+    if want:
+        raise ParseError("expected a factor", len(text))
+    if stack:
+        raise ParseError(f"expected ')' to close the '(' at {stack[-1][2]}", len(text))
+    summands.append(build(product, factors))
+    return build(sumof, summands)
+
+
+def outcome(parser, text):
+    """(the DAG's structure, its distinct node count), or the error."""
+    try:
+        e = parser(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+    return ("ok", e, len(distinct_nodes(e)))
+
+
+def assert_parses_as_reference(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="ab0123()+* x", max_size=40))
+def test_random_text_parses_as_reference(text):
+    assert_parses_as_reference(text)
+
+
+# Pieces that make repeated groups, and copies that differ in one character.
+_PIECES = ["(a1+b2)", "(a1+b2)", "(a1+b3)", "(a1+b2", "(a1 +b2)", "(a1(a2+b1)+b2)",
+           "(a1(a2+b1)+b2)", "(a1(a2+b1+b2)", "((a1+b2)a3+b1)", "a1", "b2", "+", "(",
+           ")", " ", "*", "1", "a0"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12))
+def test_text_of_repeated_groups_parses_as_reference(pieces):
+    assert_parses_as_reference("".join(pieces))
+
+
+BUILDERS = [("canonical", {}), ("middle", {}), ("middle", {"tie": "high"}),
+            ("leftmost", {}), ("seeded", {"seed": 3}), ("gd", {"m": 3}),
+            ("gd", {"m": 4}), ("fixed", {"vertex": 2})]
+
+
+@pytest.mark.parametrize("method, options", BUILDERS)
+def test_formatted_builders_parse_as_reference(method, options):
+    for n in range(3, 15):
+        e = build_expression(n, method, **options)
+        text = format_expression(e)
+        assert_parses_as_reference(text)
+        assert parse(text) == e
+
+
+def groups_of(text):
+    """Every parenthesised group of the text, outermost last."""
+    opens, out = [], []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opens.append(i)
+        elif ch == ")":
+            out.append(text[opens.pop():i + 1])
+    return out
+
+
+def near_misses(group):
+    """Copies of a group that differ from it in one place."""
+    label = re.search(r"[ab]\d+", group)
+    swapped = "ba"[group[label.start()] == "b"]
+    yield group[:label.start()] + swapped + group[label.start() + 1:]
+    last = group.rindex(")")
+    yield group[:last] + group[last + 1:]
+    yield group[:1] + " " + group[1:]
+    inner = group.index(")")
+    yield group[:inner] + group[inner + 1:]  # drops the first ')' instead
+
+
+@pytest.mark.parametrize("method, options", BUILDERS[1:])
+def test_repeated_group_then_a_near_miss(method, options):
+    text = format_expression(build_expression(12, method, **options))
+    for group in sorted(set(groups_of(text)), key=len)[-8:]:
+        for miss in near_misses(group):
+            assert_parses_as_reference(f"{group}{group}+{miss}")
+            assert_parses_as_reference(f"({group}+{miss}){group}")
+            assert_parses_as_reference(f"{group}+{miss}+{text}")
+
+
+def test_deep_chains_that_differ_in_their_innermost_leaf():
+    # Every group of the second chain has a group of the same length and
+    # prefix in the first, so the memo is tried at each level; its budget
+    # keeps the parse linear (a memo without one is quadratic here).
+    depth = 20000
+
+    def chain(leaf):
+        return "(" * depth + leaf + "+b1)a2" * depth
+
+    text = chain("a1") + "+" + chain("a3")
+    assert len(text) == 280005
+    e = parse(text)
+    a1, a2, a3, b1 = (Term(Label(k, i)) for k, i in (("a", 1), ("a", 2), ("a", 3), ("b", 1)))
+    want = []
+    for x in (a1, a3):
+        for _ in range(depth):
+            x = Product((Sum((x, b1)), a2))
+        want.append(x)
+    assert e == Sum(tuple(want))
+    assert len(distinct_nodes(e)) == 4 * depth + 1 + 4

@@ -25,6 +25,7 @@ from fibexpr.expr import (
     metric_plus,
     metric_terms,
     parse,
+    simplify,
     sumof,
 )
 from fibexpr.graph import (
@@ -161,6 +162,19 @@ class TestDeepFolds:
         # a2 is a factor at every level, so the monomials repeat it
         with pytest.raises(DuplicateMonomial, match="label repeated"):
             expand(deep_chain(self.depth))
+
+    def test_simplify(self):
+        e = Term(a(1))
+        for _ in range(self.depth):  # deep_chain with UNIT, ZERO and nesting to remove
+            e = Product((Sum((Sum((e, ZERO)), Term(b(1)))), Product((UNIT, Term(a(2))))))
+        assert simplify(e) == deep_chain(self.depth)
+        assert simplify(deep_chain(self.depth)) == deep_chain(self.depth)
+
+    def test_repr_is_bounded(self):
+        e = deep_chain(self.depth)
+        assert repr(e) == "Product(<2 children>)"
+        assert repr(e.children[0]) == "Sum(<2 children>)"
+        assert repr(Sum((Term(a(1)), Term(b(1)), UNIT))) == "Sum(<3 children>)"
 
 
 class TestBatchedOracle:
