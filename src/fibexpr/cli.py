@@ -17,7 +17,6 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .decompose import GdSpec, decompose_gd
 from .expr import (
     DEFAULT_PRIME,
     DuplicateMonomial,
@@ -39,12 +38,8 @@ from .optimize import (
     build_expression,
     complexity_table,
     exponent_fit,
-    middle_vertices,
     min_metric,
-    recurrence_P,
-    recurrence_T,
     special_values,
-    verify_theorem1,
 )
 
 MAX_CONSOLE_FORMULA = 10_000

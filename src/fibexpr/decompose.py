@@ -1,4 +1,4 @@
-"""Recursive decomposition of Fibonacci graph expressions.
+"""Decomposition of Fibonacci graph expressions.
 
 The binary procedure splits an interval (p, q) at a decomposition vertex i:
 
@@ -17,12 +17,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .expr import ExprError, Expression, UNIT, ZERO, _term_table, product, sumof
-from .graph import InvalidN, _check_n
+from .expr import ExprError, Expression, Product, Sum, UNIT, _term_table
+from .graph import _check_n
 
 
 class InvalidVertexChoice(ExprError):
-    """A strategy produced a decomposition vertex outside its interval."""
+    """A strategy or first-step list gave no vertices for an interval, or
+    vertices that are not increasing and strictly inside it."""
 
 
 class InvalidM(ExprError):
@@ -78,39 +79,6 @@ class Seeded:
 Strategy = Union[MiddleLow, MiddleHigh, Leftmost, FixedMap, Seeded]
 
 
-def decompose(n: int, strategy: Strategy | None = None) -> Expression:
-    """Binary decomposition expression of the n-vertex graph.
-
-    Equal intervals share one subexpression node, so the returned tree is a
-    DAG; printed size still matches the method's term count.
-    """
-    _check_n(n)
-    strategy = strategy if strategy is not None else MiddleLow()
-    memo: dict[tuple, Expression] = {}
-    term = _term_table()
-
-    def e(p: int, q: int) -> Expression:
-        if q == p:
-            return UNIT
-        if q == p + 1:
-            return term("a", p)
-        key = (p, q)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        i = strategy.choose(p, q)
-        if not (p < i < q):
-            raise InvalidVertexChoice(f"strategy chose i={i} for interval ({p},{q})")
-        res = sumof([
-            product([e(p, i), e(i, q)]),
-            product([e(p, i - 1), term("b", i - 1), e(i + 1, q)]),
-        ])
-        memo[key] = res
-        return res
-
-    return e(1, n)
-
-
 def uniform_positions(p: int, q: int, m: int) -> list[int]:
     """Decomposition vertices splitting (p, q) into min(m, q-p) near-equal
     parts; ties round down so m=2 matches the MiddleLow strategy."""
@@ -118,11 +86,7 @@ def uniform_positions(p: int, q: int, m: int) -> list[int]:
     if span < 1 or m < 2:
         raise InvalidVertexChoice(f"no positions for interval ({p},{q}) with m={m}")
     parts = min(m, span)
-    pos = [p + (2 * j * span + parts - 1) // (2 * parts) for j in range(1, parts)]
-    for k in range(1, len(pos)):  # guard rounding collisions
-        if pos[k] <= pos[k - 1]:
-            pos[k] = pos[k - 1] + 1
-    return pos
+    return [p + (2 * j * span + parts - 1) // (2 * parts) for j in range(1, parts)]
 
 
 @dataclass
@@ -134,48 +98,86 @@ class GdSpec:
     first_positions: tuple | None = None
 
 
+def _build(n: int, split) -> Expression:
+    """E(1, n) with each interval (p, q), q-p >= 2, split at the increasing
+    vertices split(p, q) strictly inside it.
+
+    Summands follow the binary counter over bypass subsets, first vertex
+    lowest, and one with a zero segment is left out.  Intervals are found
+    with an explicit stack and built shortest first, so no depth limit
+    applies.  Each interval maps to the tuple of its factors, () for
+    E(x, x) = 1, so joining tuples multiplies without units; no factor is a
+    Product and no summand a Sum, so nodes come out as product and sumof
+    would return them.
+    """
+    term = _term_table()
+    factors: dict[tuple, tuple | None] = {(x, x): () for x in range(1, n + 1)}
+    factors.update(((x, x + 1), (term("a", x),)) for x in range(1, n))
+    bypass = {v: (term("b", v - 1),) for v in range(2, n)}
+    by_length: list[list] = [[] for _ in range(n)]  # (p, q, vertices) to build
+    todo = [(1, n)]
+    while todo:
+        key = todo.pop()
+        if key in factors:
+            continue
+        factors[key] = None  # found, built below
+        p, q = key
+        vs = tuple(split(p, q))
+        if not vs:
+            raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
+        by_length[q - p].append((p, q, vs))
+        u = p  # a segment starts at u, or at u+1 after bypassing u
+        for v in vs:
+            if not u < v < q:
+                raise InvalidVertexChoice(f"vertices {list(vs)} invalid for interval ({p},{q})")
+            todo += (u, v), (u, v - 1)
+            if p < u < v - 1:
+                todo += (u + 1, v), (u + 1, v - 1)
+            u = v
+        todo += (u, q), (u + 1, q)
+    for found in by_length:
+        for p, q, vs in found:
+            summands = []
+            for bypassed in range(1 << len(vs)):  # bit j set: vs[j] is bypassed
+                fs, l = (), p
+                for v in vs:
+                    if not bypassed & 1:
+                        fs += factors[l, v]
+                        l = v
+                    elif l < v:
+                        fs += factors[l, v - 1] + bypass[v]
+                        l = v + 1
+                    else:  # v-1 was bypassed too: E(v, v-1) = 0
+                        break
+                    bypassed >>= 1
+                else:
+                    fs += factors[l, q]
+                    summands.append(Product(fs) if len(fs) > 1 else fs[0])
+            factors[p, q] = (Sum(tuple(summands)),)
+    return factors[1, n][0] if n > 1 else UNIT
+
+
+def decompose(n: int, strategy: Strategy | None = None) -> Expression:
+    """Binary decomposition expression of the n-vertex graph: the generalized
+    one with the single vertex strategy.choose(p, q) per interval.
+
+    Equal intervals share one subexpression node, so the returned tree is a
+    DAG; printed size still matches the method's term count.
+    """
+    _check_n(n)
+    strategy = strategy if strategy is not None else MiddleLow()
+    return _build(n, lambda p, q: (strategy.choose(p, q),))
+
+
 def decompose_gd(n: int, spec: GdSpec) -> Expression:
     """Generalized decomposition expression of the n-vertex graph."""
     _check_n(n)
     if spec.m < 2:
         raise InvalidM(f"need m >= 2, got {spec.m}")
-    memo: dict[tuple, Expression] = {}
-    term = _term_table()
 
-    def e(p: int, q: int) -> Expression:
-        if q < p:
-            return ZERO
-        if q == p:
-            return UNIT
-        if q == p + 1:
-            return term("a", p)
-        key = (p, q)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-
+    def split(p: int, q: int):
         if (p, q) == (1, n) and spec.first_positions is not None:
-            vs = list(spec.first_positions)
-            if not all(p < i < q for i in vs) or sorted(set(vs)) != vs:
-                raise InvalidVertexChoice(
-                    f"first-step vertices {vs} invalid for interval ({p},{q})")
-        else:
-            vs = uniform_positions(p, q, spec.m)
+            return spec.first_positions
+        return uniform_positions(p, q, spec.m)
 
-        k = len(vs)
-        summands = []
-        for subset in range(2 ** k):  # binary-counter order, no bypass first
-            bypassed = [(subset >> j) & 1 == 1 for j in range(k)]
-            factors = []
-            for j in range(k + 1):
-                left = p if j == 0 else (vs[j - 1] + 1 if bypassed[j - 1] else vs[j - 1])
-                right = q if j == k else (vs[j] - 1 if bypassed[j] else vs[j])
-                factors.append(e(left, right))
-                if j < k and bypassed[j]:
-                    factors.append(term("b", vs[j] - 1))
-            summands.append(product(factors))
-        res = sumof(summands)
-        memo[key] = res
-        return res
-
-    return e(1, n)
+    return _build(n, split)

@@ -179,9 +179,7 @@ def special_values(n_max: int) -> SpecialValuesReport:
 def gd_expression(n: int, m: int) -> Expression:
     """Uniform GD expression for the given part count (m=2 is the binary
     middle split)."""
-    if m < 2:
-        raise InvalidM(f"need m >= 2, got {m}")
-    return decompose(n) if m == 2 else decompose_gd(n, GdSpec(m))
+    return decompose_gd(n, GdSpec(m))
 
 
 def exponent_fit(m: int, n_list: list) -> float:

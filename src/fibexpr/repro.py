@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .decompose import FixedMap, GdSpec, Leftmost, MiddleLow, Seeded, decompose, decompose_gd
+from .decompose import FixedMap, GdSpec, MiddleLow, decompose, decompose_gd
 from .expr import (
     Term,
     a,

@@ -64,6 +64,12 @@ class TestExpr:
             "[formula of 1110745166 characters; use --out to save it]",
             "terms=267914294 plus=102334154"]
 
+    def test_deep_leftmost_builds(self):
+        result = run("expr", "--n", "3000", "--method", "leftmost")
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1].startswith("terms=")
+
     def test_usage_error_exit_2(self):
         assert run("expr", "--n", "9", "--method", "gd").exit_code == 2
         assert run("expr", "--n", "9", "--method", "nope").exit_code == 2
@@ -85,6 +91,13 @@ class TestVerify:
                      "--mode", "modeval", "--trials", "32")
         assert result.exit_code == 0
         assert "EQUIVALENT" in result.output
+
+    def test_deep_leftmost_modeval(self):
+        result = run("verify", "--n", "3000", "--method", "leftmost", "--mode", "modeval",
+                     "--trials", "1")
+        assert result.exit_code == 0
+        assert result.output.startswith("EQUIVALENT (1 modular trials")
+        assert "Traceback" not in result.output
 
     def test_corrupted_formula_exits_1(self, tmp_path):
         # 4-vertex optimal expression with one label index shifted (b2 -> b1)

@@ -1,5 +1,7 @@
 """Decomposition procedures: binary, generalized, and vertex strategies."""
 
+import random
+
 import pytest
 
 from fibexpr.decompose import (
@@ -16,18 +18,29 @@ from fibexpr.decompose import (
     uniform_positions,
 )
 from fibexpr.expr import (
+    Assignment,
     Product,
     Sum,
     Term,
     UNIT,
     ZERO,
     a,
+    b,
+    evaluate_mod,
     expand,
     format_expression,
     metric_plus,
     metric_terms,
+    product,
+    sumof,
 )
-from fibexpr.graph import enumerate_paths, equivalent_by_sampling, path_count
+from fibexpr.graph import (
+    edges,
+    enumerate_paths,
+    equivalent_by_sampling,
+    oracle_eval_mod,
+    path_count,
+)
 
 
 def contains_sentinel(e):
@@ -142,8 +155,9 @@ class TestDecomposeGd:
     def test_first_positions_override(self):
         e = decompose_gd(9, GdSpec(3, first_positions=(3, 6)))
         assert expand(e) == frozenset(enumerate_paths(9))
-        with pytest.raises(InvalidVertexChoice):
-            decompose_gd(9, GdSpec(3, first_positions=(3, 9)))
+        for bad in [(3, 9), ()]:
+            with pytest.raises(InvalidVertexChoice):
+                decompose_gd(9, GdSpec(3, first_positions=bad))
 
     def test_invalid_m(self):
         with pytest.raises(InvalidM):
@@ -157,3 +171,114 @@ class TestDecomposeGd:
     def test_large_n_against_modular_oracle(self):
         assert equivalent_by_sampling(decompose_gd(200, GdSpec(3)), 200,
                                       trials=16, seed=0)
+
+
+# -- the one builder, against the two recursive builders it replaced ----------
+
+def reference_decompose(n, strategy):
+    """The recursive binary builder: E(p,i) E(i,q) + E(p,i-1) b_{i-1} E(i+1,q)."""
+    memo = {}
+
+    def e(p, q):
+        if q == p:
+            return UNIT
+        if q == p + 1:
+            return Term(a(p))
+        if (p, q) not in memo:
+            i = strategy.choose(p, q)
+            if not p < i < q:
+                raise InvalidVertexChoice(f"strategy chose i={i} for interval ({p},{q})")
+            memo[p, q] = sumof([product([e(p, i), e(i, q)]),
+                                product([e(p, i - 1), Term(b(i - 1)), e(i + 1, q)])])
+        return memo[p, q]
+
+    return e(1, n)
+
+
+def reference_uniform_positions(p, q, m):
+    span = q - p
+    parts = min(m, span)
+    pos = [p + (2 * j * span + parts - 1) // (2 * parts) for j in range(1, parts)]
+    for k in range(1, len(pos)):  # guard rounding collisions
+        if pos[k] <= pos[k - 1]:
+            pos[k] = pos[k - 1] + 1
+    return pos
+
+
+def reference_decompose_gd(n, spec):
+    """The recursive GD builder: every bypass subset in binary-counter order,
+    an inverted segment is ZERO and product/sumof drop it."""
+    memo = {}
+
+    def e(p, q):
+        if q < p:
+            return ZERO
+        if q == p:
+            return UNIT
+        if q == p + 1:
+            return Term(a(p))
+        if (p, q) in memo:
+            return memo[p, q]
+        if (p, q) == (1, n) and spec.first_positions is not None:
+            vs = list(spec.first_positions)
+            if not all(p < i < q for i in vs) or sorted(set(vs)) != vs:
+                raise InvalidVertexChoice(f"first-step vertices {vs} invalid")
+        else:
+            vs = reference_uniform_positions(p, q, spec.m)
+        k = len(vs)
+        summands = []
+        for subset in range(2 ** k):
+            bypassed = [(subset >> j) & 1 == 1 for j in range(k)]
+            factors = []
+            for j in range(k + 1):
+                left = p if j == 0 else (vs[j - 1] + 1 if bypassed[j - 1] else vs[j - 1])
+                right = q if j == k else (vs[j] - 1 if bypassed[j] else vs[j])
+                factors.append(e(left, right))
+                if j < k and bypassed[j]:
+                    factors.append(Term(b(vs[j] - 1)))
+            summands.append(product(factors))
+        memo[p, q] = sumof(summands)
+        return memo[p, q]
+
+    return e(1, n)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except InvalidVertexChoice:
+        return InvalidVertexChoice
+
+
+STRATEGIES = [MiddleLow(), MiddleHigh(), Leftmost(), Seeded(1), Seeded(2),
+              FixedMap({(1, 9): 3, (3, 9): 8, (2, 30): 29, (1, 40): 39}),
+              FixedMap({(4, 9): 4}), FixedMap({(1, 12): 1}, fallback=Leftmost())]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_binary_builder_matches_recursive_reference(strategy):
+    for n in range(1, 41):
+        assert (outcome(decompose, n, strategy)
+                == outcome(reference_decompose, n, strategy)), n
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_gd_builder_matches_recursive_reference(m):
+    for n in range(1, 41):
+        assert decompose_gd(n, GdSpec(m)) == reference_decompose_gd(n, GdSpec(m)), n
+
+
+# () is left out: the reference recurses on (1, 9) forever there
+@pytest.mark.parametrize("first", [(2,), (8,), (3, 6), (2, 3), (7, 8), (2, 3, 4, 5, 6, 7, 8),
+                                   [4, 5], (1, 5), (3, 9), (6, 3), (4, 4), (0,)])
+def test_first_positions_match_recursive_reference(first):
+    for m in (2, 3, 5):
+        spec = GdSpec(m, first_positions=first)
+        assert outcome(decompose_gd, 9, spec) == outcome(reference_decompose_gd, 9, spec)
+
+
+@pytest.mark.parametrize("n, strategy", [(20000, Leftmost()), (3000, Seeded(1))])
+def test_deep_builds_evaluate_like_the_oracle(n, strategy):
+    e = decompose(n, strategy)
+    point = Assignment.random(edges(n), rng=random.Random(n))
+    assert evaluate_mod(e, point) == oracle_eval_mod(n, point)

@@ -4,7 +4,7 @@ the memo of repeated parenthesised groups."""
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibexpr.decompose import GdSpec, Seeded, decompose, decompose_gd
@@ -150,9 +150,10 @@ def reference_parse(text):
         if kind == 1:
             if int(tok[1:]) < 1:
                 raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
-            if tok not in terms:
-                terms[tok] = Term(Label(tok[0], int(tok[1:])))
-            factors.append(terms[tok])
+            label = (tok[0], int(tok[1:]))  # a01 and a1 are one label
+            if label not in terms:
+                terms[label] = Term(Label(*label))
+            factors.append(terms[label])
             want = False
         elif kind is None:
             continue
@@ -201,6 +202,7 @@ def assert_parses_as_reference(text):
 
 @settings(max_examples=500)
 @given(st.text(alphabet="ab0123()+* x", max_size=40))
+@example("a1a01")
 def test_random_text_parses_as_reference(text):
     assert_parses_as_reference(text)
 
@@ -213,6 +215,7 @@ _PIECES = ["(a1+b2)", "(a1+b2)", "(a1+b3)", "(a1+b2", "(a1 +b2)", "(a1(a2+b1)+b2
 
 @settings(max_examples=500)
 @given(st.lists(st.sampled_from(_PIECES), max_size=12))
+@example(pieces=["(a1+b2)", "a0", "1"])
 def test_text_of_repeated_groups_parses_as_reference(pieces):
     assert_parses_as_reference("".join(pieces))
 
