@@ -103,8 +103,9 @@ def _build(n: int, split) -> Expression:
     vertices split(p, q) strictly inside it.
 
     Summands follow the binary counter over bypass subsets, first vertex
-    lowest, and one with a zero segment is left out.  Intervals are found
-    with an explicit stack and built shortest first, so no depth limit
+    lowest, and one with a zero segment is left out; the masks after it that
+    bypass the same two consecutive vertices are skipped.  Intervals are
+    found with an explicit stack and built shortest first, so no depth limit
     applies.  Each interval maps to the tuple of its factors, () for
     E(x, x) = 1, so joining tuples multiplies without units; no factor is a
     Product and no summand a Sum, so nodes come out as product and sumof
@@ -138,21 +139,25 @@ def _build(n: int, split) -> Expression:
     for found in by_length:
         for p, q, vs in found:
             summands = []
-            for bypassed in range(1 << len(vs)):  # bit j set: vs[j] is bypassed
-                fs, l = (), p
+            mask, end = 0, 1 << len(vs)  # bit j set: vs[j] is bypassed
+            while mask < end:
+                fs, l, bit = (), p, 1
                 for v in vs:
-                    if not bypassed & 1:
+                    if not mask & bit:
                         fs += factors[l, v]
                         l = v
                     elif l < v:
                         fs += factors[l, v - 1] + bypass[v]
                         l = v + 1
-                    else:  # v-1 was bypassed too: E(v, v-1) = 0
+                    else:  # v-1 was bypassed too: E(v, v-1) = 0, as for the
+                        # masks up to the carry out of this bit, which keep both
+                        mask = (mask | (bit - 1)) + 1
                         break
-                    bypassed >>= 1
+                    bit <<= 1
                 else:
                     fs += factors[l, q]
                     summands.append(Product(fs) if len(fs) > 1 else fs[0])
+                    mask += 1
             factors[p, q] = (Sum(tuple(summands)),)
     return factors[1, n][0] if n > 1 else UNIT
 

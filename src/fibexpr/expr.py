@@ -224,14 +224,16 @@ def simplify(e: Expression) -> Expression:
     )
 
 
-def _memoized(e: Expression, leaf, combine_sum, combine_product):
+def _memoized(e: Expression, leaf, combine_sum, combine_product, uses: Counter | None = None):
     """Bottom-up fold over the DAG, memoized by node identity.
 
     Generated expressions share subtrees heavily (one node per interval), so
     identity memoization keeps metrics and rendering linear in the number of
     distinct nodes rather than the printed size.  The walk keeps an explicit
     stack of frames, (node, iterator over its children, results of the
-    children done so far), so nesting depth is unbounded.
+    children done so far), so nesting depth is unbounded.  With uses, the
+    _parent_counts of e, a node's result is dropped from the memo once its
+    last parent has taken it.
     """
     memo: dict[int, object] = {}
     # The bottom frame has the root as its only child.
@@ -245,6 +247,8 @@ def _memoized(e: Expression, leaf, combine_sum, combine_product):
                     frames.append((c, iter(c.children), []))
                     break
                 r = memo[id(c)] = leaf(c)
+            if uses is not None:
+                _release(memo, uses, id(c))
             done.append(r)
         else:
             frames.pop()
@@ -252,7 +256,16 @@ def _memoized(e: Expression, leaf, combine_sum, combine_product):
                 return done[0]
             combine = combine_sum if isinstance(x, Sum) else combine_product
             r = memo[id(x)] = combine(x, done)
+            if uses is not None:
+                _release(memo, uses, id(x))
             frames[-1][2].append(r)
+
+
+def _release(memo: dict, uses: Counter, key: int):
+    """Count one use of a node's result; drop the result after the last."""
+    uses[key] -= 1
+    if not uses[key]:
+        del memo[key]
 
 
 def metric_terms(e: Expression) -> int:
@@ -366,73 +379,43 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
 
     v is one Assignment, giving an int, or a sequence of Assignments that
     share one prime, giving a list with one residue per point.  Either way
-    each distinct node is visited once, by an explicit stack, and its value
-    is the list of its residues at every point.  For a batch, a node's list
-    is dropped once its last parent has used it; with one point a node holds
-    a single residue, as a scalar memo would, so parents are not counted.
+    this is one _memoized fold, so each distinct node is visited once and
+    its value is the list of its residues at every point.  For a batch, a
+    node's list is dropped once its last parent has used it; with one point
+    a node holds a single residue, as a scalar memo would, so parents are
+    not counted.
     """
     points = _as_batch(v)
     if not points:
         return []
     p, k = points[0].prime, len(points)
     moduli = repeat(p)
-    uses = _parent_counts(e) if k > 1 else None
-    memo: dict[int, list] = {}
-    by_label: dict[Label, list] = {}
-    # A frame is (node, iterator over its children, values of the children
-    # done so far); the bottom frame has the root as its only child.
-    frames = [(None, iter((e,)), [])]
-    while True:
-        x, todo, done = frames[-1]
-        for c in todo:
-            key = id(c)
-            r = memo.get(key)
-            if r is None:
-                if isinstance(c, (Sum, Product)):
-                    frames.append((c, iter(c.children), []))
-                    break
-                if c is UNIT:
-                    r = [1] * k
-                elif c is ZERO:
-                    r = [0] * k
-                else:
-                    lab = c.label
-                    r = by_label.get(lab)
-                    if r is None:
-                        try:
-                            r = by_label[lab] = [pt.values[lab] % p for pt in points]
-                        except KeyError:
-                            raise UnassignedLabel(f"no value for label {lab}") from None
-                _keep(memo, uses, key, r)
-            elif uses is not None:
-                uses[key] -= 1
-                if not uses[key]:
-                    del memo[key]
-            done.append(r)
-        else:
-            frames.pop()
-            if x is None:
-                r = done[0]
-                return r[0] if isinstance(v, Assignment) else r
-            if not done:  # an unsimplified empty Sum or Product
-                r = [0 if isinstance(x, Sum) else 1] * k
-            elif isinstance(x, Sum):
-                r = list(map(mod, map(sum, zip(*done)), moduli))
-            else:  # reduce after each factor, so residues stay below p^2
-                r = done[0]
-                for c in done[1:]:
-                    r = list(map(mod, map(mul, r, c), moduli))
-            _keep(memo, uses, id(x), r)
-            frames[-1][2].append(r)
 
+    def leaf(x) -> list:
+        if x is UNIT:
+            return [1] * k
+        if x is ZERO:
+            return [0] * k
+        try:
+            return [pt.values[x.label] % p for pt in points]
+        except KeyError:
+            raise UnassignedLabel(f"no value for label {x.label}") from None
 
-def _keep(memo: dict, uses: Counter | None, key: int, r: list):
-    """Memoise a node's residues at its first use if another use follows."""
-    if uses is None:
-        memo[key] = r
-    elif uses[key] > 1:
-        memo[key] = r
-        uses[key] -= 1
+    def combine_sum(x, done: list) -> list:
+        if not done:  # an unsimplified empty Sum
+            return [0] * k
+        return list(map(mod, map(sum, zip(*done)), moduli))
+
+    def combine_product(x, done: list) -> list:
+        if not done:  # an unsimplified empty Product
+            return [1] * k
+        r = done[0]
+        for c in done[1:]:  # reduce after each factor, so residues stay below p^2
+            r = list(map(mod, map(mul, r, c), moduli))
+        return r
+
+    r = _memoized(e, leaf, combine_sum, combine_product, _parent_counts(e) if k > 1 else None)
+    return r[0] if isinstance(v, Assignment) else r
 
 
 def _count_labels(x, counts: list[Counter]) -> Counter:
@@ -523,7 +506,6 @@ def parse(text: str) -> Expression:
     term = _term_table()
     leaves: dict[str, Term] = {}
     nodes: dict[tuple, Expression] = {}  # (type, ids of children) -> node
-    built: dict[tuple, Expression] = {}  # (constructor, ids of parts) -> node
     # first _GROUP_KEY characters -> {length: (start, node)}, first occurrences
     groups: dict[str, dict[int, tuple]] = {}
     budget = _GROUP_BUDGET * len(text)
@@ -532,13 +514,9 @@ def parse(text: str) -> Expression:
         """make(parts), interned; the parts are interned already."""
         if len(parts) == 1:
             return parts[0]
-        key = (make, *map(id, parts))
-        e = built.get(key)
-        if e is None:
-            e = make(parts)
-            if isinstance(e, (Sum, Product)):
-                e = nodes.setdefault((type(e), tuple(map(id, e.children))), e)
-            built[key] = e
+        e = make(parts)
+        if isinstance(e, (Sum, Product)):
+            e = nodes.setdefault((type(e), tuple(map(id, e.children))), e)
         return e
 
     def recall(start: int):

@@ -94,11 +94,6 @@ class IntervalTable:
         q = self.n if q is None else q
         return {p + d for d in self._arg_offsets[q - p + 1]}
 
-    def intervals(self):
-        for length in range(3, self.n + 1):
-            for p in range(1, self.n - length + 2):
-                yield p, p + length - 1
-
 
 def min_metric(n: int, metric: str) -> IntervalTable:
     """Exact minima over the binary decomposition family for every interval."""

@@ -141,6 +141,13 @@ class TestDecomposeGd:
         assert metric_plus(e) == 33
         assert expand(e) == frozenset(enumerate_paths(9))
 
+    def test_degenerate_m_equals_n_minus_1_at_n24(self):
+        # 22 vertices per top interval: 2^22 bypass masks, of which the
+        # 46,368 without two consecutive bypassed vertices are summands
+        e = decompose_gd(24, GdSpec(23))
+        point = Assignment.random(edges(24), rng=random.Random(24))
+        assert evaluate_mod(e, point) == oracle_eval_mod(24, point)
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_expansion_is_path_set(self, m):
         for n in range(2, 15):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -16,6 +17,8 @@ from fibexpr.expr import (
     UNIT,
     UnassignedLabel,
     ZERO,
+    _memoized,
+    _parent_counts,
     a,
     b,
     evaluate_mod,
@@ -68,12 +71,25 @@ def deep_chain(depth, leaf=a(1)):
     return e
 
 
+def shared_twice():
+    """A DAG for the batch's freeing of residues: one parent holds the same
+    Sum twice, and a shared Sum's last parent comes after a deep subtree.
+    `one` expands to the empty monomial alone, so no monomial repeats a label."""
+    one = Sum((UNIT, ZERO))
+    s = Sum((Term(a(11)), Term(b(11))))
+    deep = Term(a(1))
+    for i in range(2, 11):  # distinct labels at every level
+        deep = Product((Sum((deep, Term(b(i - 1)))), Term(a(i))))
+    return Sum((Product((s, one, one, Term(a(12)))), deep, Product((s, Term(a(13))))))
+
+
 EXPRESSIONS = {  # name -> (n, builder)
     "middle": (13, lambda: decompose(13)),
     "gd3": (13, lambda: decompose_gd(13, GdSpec(3))),
     "gd4": (12, lambda: decompose_gd(12, GdSpec(4))),
     "seeded": (11, lambda: decompose(11, Seeded(7))),
     "parsed-canonical": (10, lambda: parse(format_expression(canonical_expression(10)))),
+    "shared-twice": (14, shared_twice),
     "unit": (3, lambda: UNIT),
     "zero": (3, lambda: ZERO),
 }
@@ -130,6 +146,23 @@ class TestBatchedEvaluation:
             want.append(value)
         assert evaluate_mod(e, pts) == want
         assert evaluate_mod(e, pts[0]) == want[0]
+
+    def test_fold_with_uses_frees_each_value_after_its_last_parent(self):
+        class Value(list):  # a list that a WeakSet can hold, by identity
+            __eq__, __hash__ = object.__eq__, object.__hash__
+
+        live, most = weakref.WeakSet(), 0
+
+        def value(*_):
+            nonlocal most
+            v = Value()
+            live.add(v)
+            most = max(most, len(live))
+            return v
+
+        e = deep_chain(2000)
+        _memoized(e, value, value, value, _parent_counts(e))
+        assert most <= 8  # without freeing, every one of the 8,001 values stays
 
 
 class TestDeepFolds:
