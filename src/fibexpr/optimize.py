@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -70,19 +71,33 @@ class IntervalTable:
         self.n = n
         self.metric = metric
         # Indexed by interval length.  With pair[k] = best[k] + best[k+1],
-        # splitting at offset d costs pair[d] + pair[length-1-d] + 1; d and
-        # length-1-d cost the same, so only d <= (length-1)/2 is tried.
+        # splitting at offset d costs f(d) = pair[d] + pair[length-1-d] + 1,
+        # which is symmetric about (length-1)/2.  While every second
+        # difference of pair is non-negative (`convex`), f is convex too, so
+        # it is lowest at h = (length-1)//2, non-increasing on [1, h], and
+        # its argmin is the one range(d0, length-d0), with d0 the first
+        # d <= h where f(d) == f(h), found by binary search.  Once
+        # convexity fails, every later length scans all d <= h (d and
+        # length-1-d cost the same).
         best = [None, 0, _AT_2[metric]]
         pair = [None, best[1] + best[2]]
-        arg_offsets: list[set] = [set(), set(), set()]
+        arg_offsets: list[set | range] = [set(), set(), set()]
+        convex = True
         for length in range(3, n + 1):
             h = (length - 1) // 2
-            candidates = list(map(add, pair[1:h + 1], pair[length - 2:length - 2 - h:-1]))
-            low = min(candidates)
+            if convex:
+                low = pair[h] + pair[length - 1 - h]
+                d0 = 1 + bisect_left(range(1, h + 1), True,
+                                     key=lambda d: pair[d] + pair[length - 1 - d] == low)
+                arg_offsets.append(range(d0, length - d0))
+            else:
+                candidates = list(map(add, pair[1:h + 1], pair[length - 2:length - 2 - h:-1]))
+                low = min(candidates)
+                low_ds = [d for d, v in enumerate(candidates, 1) if v == low]
+                arg_offsets.append({*low_ds, *(length - 1 - d for d in low_ds)})
             best.append(low + 1)
             pair.append(best[-2] + best[-1])
-            low_ds = [d for d, v in enumerate(candidates, 1) if v == low]
-            arg_offsets.append({*low_ds, *(length - 1 - d for d in low_ds)})
+            convex = convex and (length < 4 or pair[-1] - 2 * pair[-2] + pair[-3] >= 0)
         self._best = best
         self._arg_offsets = arg_offsets
 
@@ -148,11 +163,18 @@ class SpecialValuesReport:
 
 def special_values(n_max: int) -> SpecialValuesReport:
     """Values of n whose top-interval P-argmin strictly exceeds the middle set,
-    i.e. graphs with several minimum-plus first-step decompositions."""
+    i.e. graphs with several minimum-plus first-step decompositions.
+
+    Decided on offsets from vertex 1 (a range or a set), so no vertex set
+    is built per n: n is special when its argmin offsets strictly contain
+    the middle offsets."""
     _check_n(n_max, minimum=7)
     table = min_metric(n_max, "P")
-    special = [n for n in range(7, n_max + 1)
-               if table.argmin_vertices(1, n) > middle_vertices(1, n)]
+    special = []
+    for n in range(7, n_max + 1):
+        offsets, middle = table._arg_offsets[n], middle_vertices(0, n - 1)
+        if len(offsets) > len(middle) and all(d in offsets for d in middle):
+            special.append(n)
 
     groups = []
     for n in special:

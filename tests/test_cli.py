@@ -205,6 +205,13 @@ class TestOptimizeSpecialFit:
         assert "min T(9) = 31" in result.output
         assert "[5]" in result.output
 
+    def test_optimize_n100000_json(self):
+        result = run("optimize", "--n", "100000", "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["argmin"] == [50000, 50001]
+        assert payload["min"] == 3987230293
+
     def test_special_31(self):
         result = run("special", "--n-max", "31")
         assert result.output.splitlines()[0] == "7,13,14,15,25,26,27,28,29,30,31"

@@ -1,5 +1,8 @@
 """Interval DP, recurrences, theorem verification, special values, fits."""
 
+import math
+from operator import add
+
 import pytest
 
 from fibexpr import optimize
@@ -23,11 +26,13 @@ from fibexpr.optimize import (
 
 
 class ReferenceTable:
-    """The literal four-term interval DP, one table per n."""
+    """The literal four-term interval DP, one table per n; at_2 overrides
+    the metric's value on two vertices."""
 
-    def __init__(self, n, metric):
+    def __init__(self, n, metric, at_2=None):
         self.n = n
-        best = [None, 0, 1 if metric == "T" else 0]  # index = interval length
+        at_2 = (1 if metric == "T" else 0) if at_2 is None else at_2
+        best = [None, 0, at_2]  # index = interval length
         arg_offsets = [set(), set(), set()]
         for length in range(3, n + 1):
             candidates = {}
@@ -78,9 +83,27 @@ def reference_theorem1_reports(n_last):
     return reports
 
 
-def reference_is_special(n):
+def reference_is_special(n, at_2=None):
     """Whether n is special, from a table built for n alone."""
-    return ReferenceTable(n, "P").argmin_vertices(1, n) > optimize.middle_vertices(1, n)
+    return (ReferenceTable(n, "P", at_2).argmin_vertices(1, n)
+            > optimize.middle_vertices(1, n))
+
+
+def half_offset_scan(n, metric):
+    """The O(n^2) table loop: every length scans its split offsets d up to
+    (length-1)/2.  Returns (best, arg_offsets), indexed by length."""
+    best = [None, 0, 1 if metric == "T" else 0]
+    pair = [None, best[1] + best[2]]
+    arg_offsets = [set(), set(), set()]
+    for length in range(3, n + 1):
+        h = (length - 1) // 2
+        candidates = list(map(add, pair[1:h + 1], pair[length - 2:length - 2 - h:-1]))
+        low = min(candidates)
+        best.append(low + 1)
+        pair.append(best[-2] + best[-1])
+        low_ds = [d for d, v in enumerate(candidates, 1) if v == low]
+        arg_offsets.append({*low_ds, *(length - 1 - d for d in low_ds)})
+    return best, arg_offsets
 
 
 def reference_special(n_max, is_special):
@@ -173,6 +196,46 @@ class TestAgainstPerNReference:
         assert [recurrence_P(n) for n in range(1, 4097)] == want_p[1:]
 
 
+class TestConvexShortcut:
+    @pytest.mark.parametrize("metric", ["T", "P"])
+    def test_table_equals_half_offset_scan(self, metric):
+        table = IntervalTable(1500, metric)
+        best, arg_offsets = half_offset_scan(1500, metric)
+        for length in range(1, 1501):
+            assert table.min_value(1, length) == best[length]
+            got = table.argmin_vertices(1, length)
+            assert isinstance(got, set)
+            assert got == {1 + d for d in arg_offsets[length]}
+
+    def test_non_convex_pair_falls_back_to_the_scan(self, monkeypatch):
+        monkeypatch.setitem(optimize._AT_2, "T", -1)
+        ref = ReferenceTable(120, "T", at_2=-1)
+        pair = [None] + [ref.min_value(1, k) + ref.min_value(1, k + 1) for k in range(1, 5)]
+        assert pair[3] - 2 * pair[2] + pair[1] >= 0
+        assert pair[4] - 2 * pair[3] + pair[2] < 0  # so every length >= 6 scans
+        table = IntervalTable(120, "T")
+        for length in range(1, 121):
+            for p in (1, 121 - length):
+                q = p + length - 1
+                assert table.min_value(p, q) == ref.min_value(p, q)
+                assert table.argmin_vertices(p, q) == ref.argmin_vertices(p, q)
+        # Not one range: the scan, not the shortcut, answered this length.
+        assert table.argmin_vertices(1, 120) == {2, 119}
+
+    def test_special_values_on_fallback_sets(self, monkeypatch):
+        # Non-convex P tables give argmin sets {2, n-1}; a middle set moved
+        # to vertex 2 at some lengths makes those n special on the set path.
+        monkeypatch.setitem(optimize._AT_2, "P", -1)
+        monkeypatch.setattr(optimize, "middle_vertices",
+                            lambda p, q: {p + 1} if (q - p) % 3 == 0 else middle_vertices(p, q))
+        is_special = {n: reference_is_special(n, at_2=-1) for n in range(7, 61)}
+        assert any(is_special.values())
+        for n_max in range(7, 61):
+            report = special_values(n_max)
+            assert (report.special, report.groups, report.groups_ok) == reference_special(
+                n_max, is_special)
+
+
 class TestRecurrences:
     def test_bases(self):
         assert recurrence_T(1) == 0
@@ -245,6 +308,11 @@ class TestTheorem1:
         assert middle_vertices(1, 9) == {5}
         assert middle_vertices(1, 4) == {2, 3}
 
+    def test_n_max_20000(self):
+        report = verify_theorem1(20000)
+        assert report.ok
+        assert report.checked == math.comb(20000, 3)
+
 
 class TestSpecialValues:
     def test_paper_groups_to_31(self):
@@ -265,6 +333,11 @@ class TestSpecialValues:
         for (f0, l0), (f1, l1) in zip(groups, groups[1:]):
             assert f1 == 2 * f0 - 1
             assert l1 == 2 * l0 + 1
+
+    def test_groups_to_20000(self):
+        report = special_values(20000)
+        assert report.groups[-2:] == [(6145, 8191), (12289, 16383)]
+        assert report.groups_ok
 
 
 class TestExponentFit:
