@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .expr import ExprError, Expression, Product, Sum, UNIT, _term_table
+from .expr import ExprError, Expression, Product, Sum, UNIT, _set_order, _term_table
 from .graph import _check_n
 
 
@@ -109,13 +109,15 @@ def _build(n: int, split) -> Expression:
     applies.  Each interval maps to the tuple of its factors, () for
     E(x, x) = 1, so joining tuples multiplies without units; no factor is a
     Product and no summand a Sum, so nodes come out as product and sumof
-    would return them.
+    would return them.  Every node is made after its children, so the list
+    of them in the order made is the root's _order, handed over with it.
     """
     term = _term_table()
     factors: dict[tuple, tuple | None] = {(x, x): () for x in range(1, n + 1)}
     factors.update(((x, x + 1), (term("a", x),)) for x in range(1, n))
     bypass = {v: (term("b", v - 1),) for v in range(2, n)}
     by_length: list[list] = [[] for _ in range(n)]  # (p, q, vertices) to build
+    made: list = []  # every Sum and Product, children first
     todo = [(1, n)]
     while todo:
         key = todo.pop()
@@ -156,10 +158,17 @@ def _build(n: int, split) -> Expression:
                     bit <<= 1
                 else:
                     fs += factors[l, q]
-                    summands.append(Product(fs) if len(fs) > 1 else fs[0])
+                    if len(fs) == 1:
+                        summands.append(fs[0])
+                    else:
+                        summands.append(Product(fs))
+                        made.append(summands[-1])
                     mask += 1
-            factors[p, q] = (Sum(tuple(summands)),)
-    return factors[1, n][0] if n > 1 else UNIT
+            made.append(Sum(tuple(summands)))
+            factors[p, q] = (made[-1],)
+    if n < 3:
+        return factors[1, n][0] if n > 1 else UNIT
+    return _set_order(made.pop(), made)
 
 
 def decompose(n: int, strategy: Strategy | None = None) -> Expression:

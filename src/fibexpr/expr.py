@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from math import prod
 from operator import attrgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -103,6 +104,7 @@ class _Internal:
     """
 
     _hash = None
+    _children_first = None  # list, set by _order or a builder
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -229,43 +231,63 @@ def _memoized(e: Expression, leaf, combine_sum, combine_product, uses: Counter |
 
     Generated expressions share subtrees heavily (one node per interval), so
     identity memoization keeps metrics and rendering linear in the number of
-    distinct nodes rather than the printed size.  The walk keeps an explicit
-    stack of frames, (node, iterator over its children, results of the
-    children done so far), so nesting depth is unbounded.  With uses, the
-    _parent_counts of e, a node's result is dropped from the memo once its
-    last parent has taken it.
+    distinct nodes rather than the printed size.  The fold is one loop over
+    _order(e) and then e, so each node's children are done before it and
+    nesting depth is unbounded.  With uses, the _parent_counts of e, a
+    node's result is dropped from the memo once its last parent has taken it.
     """
+    if not isinstance(e, _Internal):
+        return leaf(e)
     memo: dict[int, object] = {}
-    # The bottom frame has the root as its only child.
-    frames = [(None, iter((e,)), [])]
-    while True:
-        x, todo, done = frames[-1]
-        for c in todo:
-            r = memo.get(id(c))
-            if r is None:
-                if isinstance(c, (Sum, Product)):
-                    frames.append((c, iter(c.children), []))
-                    break
-                r = memo[id(c)] = leaf(c)
+    for x in chain(_order(e), (e,)):
+        done = []
+        for c in x.children:
+            key = id(c)
+            r = memo.get(key)
+            if r is None:  # a leaf: every internal child came earlier
+                r = memo[key] = leaf(c)
             if uses is not None:
-                _release(memo, uses, id(c))
+                uses[key] -= 1
+                if not uses[key]:  # x was its last parent
+                    del memo[key]
             done.append(r)
-        else:
-            frames.pop()
-            if x is None:
-                return done[0]
-            combine = combine_sum if isinstance(x, Sum) else combine_product
-            r = memo[id(x)] = combine(x, done)
-            if uses is not None:
-                _release(memo, uses, id(x))
-            frames[-1][2].append(r)
+        memo[id(x)] = (combine_sum if isinstance(x, Sum) else combine_product)(x, done)
+    return memo[id(e)]
 
 
-def _release(memo: dict, uses: Counter, key: int):
-    """Count one use of a node's result; drop the result after the last."""
-    uses[key] -= 1
-    if not uses[key]:
-        del memo[key]
+def _order(e: Expression) -> list:
+    """The distinct Sum and Product nodes below e, each after its internal
+    children; e itself is left out, so caching the list on e makes no cycle.
+
+    A builder hands the list over with _set_order as it makes the nodes in
+    that order; any other root is walked once, with an explicit stack, and
+    keeps the list for later folds."""
+    if not isinstance(e, _Internal):
+        return []
+    order = e._children_first
+    if order is None:
+        order, seen = [], {id(e)}
+        stack = [(e, iter(e.children))]
+        while stack:
+            x, todo = stack[-1]
+            for c in todo:
+                if isinstance(c, _Internal) and id(c) not in seen:
+                    seen.add(id(c))
+                    stack.append((c, iter(c.children)))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        order.pop()  # e
+        _set_order(e, order)
+    return order
+
+
+def _set_order(e: Expression, order: list) -> Expression:
+    """e, holding `order` as its _order: the distinct internal nodes below it,
+    children first.  A leaf has no order to hold."""
+    if isinstance(e, _Internal):
+        object.__setattr__(e, "_children_first", order)
+    return e
 
 
 def metric_terms(e: Expression) -> int:
@@ -362,15 +384,7 @@ def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
 
 def _parent_counts(e: Expression) -> Counter:
     """Number of parent slots holding each node of e, keyed by node identity."""
-    seen: set[int] = set()
-    internal: list = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (Sum, Product)) and id(x) not in seen:
-            seen.add(id(x))
-            internal.append(x)
-            stack.extend(x.children)
+    internal = chain(_order(e), (e,) if isinstance(e, _Internal) else ())
     return Counter(map(id, chain.from_iterable(map(attrgetter("children"), internal))))
 
 
@@ -379,11 +393,9 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
 
     v is one Assignment, giving an int, or a sequence of Assignments that
     share one prime, giving a list with one residue per point.  Either way
-    this is one _memoized fold, so each distinct node is visited once and
-    its value is the list of its residues at every point.  For a batch, a
-    node's list is dropped once its last parent has used it; with one point
-    a node holds a single residue, as a scalar memo would, so parents are
-    not counted.
+    this is one _memoized fold, so each distinct node is visited once.  With
+    one point a node's value is an int; with more it is the list of its
+    residues at every point, dropped once its last parent has used it.
     """
     points = _as_batch(v)
     if not points:
@@ -401,6 +413,15 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
         except KeyError:
             raise UnassignedLabel(f"no value for label {x.label}") from None
 
+    if k == 1:  # each node's value is a plain int
+        def product_mod(x, done: list) -> int:
+            while len(done) > 32:  # keep the integer short
+                done = [prod(done[i:i + 32]) % p for i in range(0, len(done), 32)]
+            return prod(done) % p
+
+        r = _memoized(e, lambda x: leaf(x)[0], lambda x, done: sum(done) % p, product_mod)
+        return r if isinstance(v, Assignment) else [r]
+
     def combine_sum(x, done: list) -> list:
         if not done:  # an unsimplified empty Sum
             return [0] * k
@@ -414,8 +435,7 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
             r = list(map(mod, map(mul, r, c), moduli))
         return r
 
-    r = _memoized(e, leaf, combine_sum, combine_product, _parent_counts(e) if k > 1 else None)
-    return r[0] if isinstance(v, Assignment) else r
+    return _memoized(e, leaf, combine_sum, combine_product, _parent_counts(e))
 
 
 def _count_labels(x, counts: list[Counter]) -> Counter:

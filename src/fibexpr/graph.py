@@ -18,9 +18,11 @@ from .expr import (
     Expression,
     ExprError,
     Label,
+    Product,
     SizeExceeded,
     UnassignedLabel,
     _as_batch,
+    _set_order,
     _term_table,
     a,
     b,
@@ -92,14 +94,15 @@ def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> l
 
 def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
-    their edge labels, labels in source-to-sink order."""
+    their edge labels, labels in source-to-sink order.  The path products are
+    the nodes below the sum, so they are handed over as its _order."""
     _check_n(n, minimum=2)
     term = _term_table()
     summands = []
     for seq in path_vertex_sequences(n, max_paths):
         summands.append(product(term("a" if w == v + 1 else "b", v)
                                 for v, w in zip(seq, seq[1:])))
-    return sumof(summands)
+    return _set_order(sumof(summands), [s for s in summands if isinstance(s, Product)])
 
 
 def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):

@@ -1,0 +1,213 @@
+"""The children-first node order that every fold runs over: handed over by
+the builders, walked once and cached for any other root."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from fibexpr.decompose import (
+    FixedMap,
+    GdSpec,
+    Leftmost,
+    MiddleHigh,
+    MiddleLow,
+    Seeded,
+    decompose,
+    decompose_gd,
+)
+from fibexpr.expr import (
+    Assignment,
+    Product,
+    Sum,
+    Term,
+    UNIT,
+    ZERO,
+    _order,
+    _parent_counts,
+    a,
+    b,
+    evaluate_mod,
+    format_expression,
+    metric_plus,
+    metric_terms,
+    parse,
+    sumof,
+)
+from fibexpr.graph import canonical_expression, edges
+
+PRIME = 10007
+SIZES = range(1, 61)
+
+
+def strategies(n):
+    return [MiddleLow(), MiddleHigh(), Leftmost(), Seeded(n),
+            FixedMap({(1, n): max(2, n // 3)} if n > 2 else {})]
+
+
+def gd_parts(n):
+    """m = 3, 4 and n-1; n-1 parts make F(n) top-level summands, so that one
+    stops at n = 16."""
+    return sorted({m for m in (3, 4, n - 1) if m >= 2 and (m < n - 1 or n <= 16)})
+
+
+def built_roots():
+    for n in SIZES:
+        for s in strategies(n):
+            yield f"decompose({n}, {s})", decompose(n, s)
+        for m in gd_parts(n):
+            yield f"decompose_gd({n}, m={m})", decompose_gd(n, GdSpec(m))
+        if 2 <= n <= 14:
+            yield f"canonical_expression({n})", canonical_expression(n)
+
+
+def internal(x):
+    return isinstance(x, (Sum, Product))
+
+
+def deep_chain(depth):
+    """((a1 + b1) a2 + b1) a2 ... nested `depth` levels deep."""
+    e = Term(a(1))
+    for _ in range(depth):
+        e = Product((Sum((e, Term(b(1)))), Term(a(2))))
+    return e
+
+
+def local_fold(e, values, prime=PRIME):
+    """(value mod prime, terms, plus operators) of e: this test's own walk,
+    memoised by node identity, with an explicit stack."""
+    memo = {}
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if id(x) in memo:
+            stack.pop()
+            continue
+        if not internal(x):
+            memo[id(x)] = ((values[x.label] if isinstance(x, Term) else int(x is UNIT)) % prime,
+                           int(isinstance(x, Term)), 0)
+            stack.pop()
+            continue
+        todo = [c for c in x.children if id(c) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        parts = [memo[id(c)] for c in x.children]
+        terms = sum(t for _, t, _ in parts)
+        plus = sum(q for _, _, q in parts)
+        if isinstance(x, Sum):
+            value, plus = sum(v for v, _, _ in parts) % prime, plus + len(parts) - 1
+        else:
+            value = 1
+            for v, _, _ in parts:
+                value = value * v % prime
+        memo[id(x)] = (value, terms, plus)
+    return memo[id(e)]
+
+
+class TestHandedOverOrder:
+    def test_builders_hand_over_the_walked_order(self):
+        checked = 0
+        for name, e in built_roots():
+            if not internal(e):
+                assert e is UNIT or isinstance(e, Term), name
+                continue
+            handed = e._children_first
+            assert handed is not None, f"{name} arrived without its order"
+            object.__setattr__(e, "_children_first", None)
+            walked = _order(e)
+            assert walked is not handed
+            ids = [id(x) for x in handed]
+            assert len(ids) == len(set(ids)), f"{name}: a node is listed twice"
+            assert set(ids) == {id(x) for x in walked}, f"{name}: other nodes than the walk"
+            assert id(e) not in set(ids), f"{name}: the root is listed"
+            position = {key: k for k, key in enumerate(ids)}
+            for k, x in enumerate(handed):
+                assert all(position[id(c)] < k for c in x.children if internal(c)), \
+                    f"{name}: a node comes before its child"
+            checked += 1
+        assert checked > 300
+
+    def test_walk_lists_children_first(self):
+        e = decompose(40)
+        object.__setattr__(e, "_children_first", None)
+        order = _order(e)
+        done = set()
+        for x in order:
+            assert all(id(c) in done for c in x.children if internal(c))
+            done.add(id(x))
+        assert all(id(c) in done for c in e.children if internal(c))
+
+    def test_leaves_have_an_empty_order(self):
+        for leaf in (UNIT, ZERO, Term(a(1)), decompose(2), decompose(1)):
+            assert _order(leaf) == []
+            assert not _parent_counts(leaf)
+
+
+class TestNoCycle:
+    @pytest.mark.parametrize("make", [
+        lambda: decompose(200),
+        lambda: decompose_gd(90, GdSpec(4)),
+        lambda: canonical_expression(10),
+        lambda: parse(format_expression(decompose(60))),
+        lambda: sumof(decompose(60).children),
+    ])
+    def test_root_dies_on_del_after_a_fold(self, make):
+        gc.collect()
+        gc.disable()
+        try:
+            e = make()
+            point = Assignment.random(edges(200), PRIME, random.Random(1))
+            evaluate_mod(e, point)
+            evaluate_mod(e, [point, point])
+            assert _order(e) is e._children_first
+            ref = weakref.ref(e)
+            del e
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def unbuilt_roots():
+    """Roots that no builder made, with the n of their graph."""
+    built = decompose(50)
+    yield "parsed", 30, parse(format_expression(decompose_gd(30, GdSpec(3))))
+    yield "sumof-children", 50, sumof(built.children[1:])
+    yield "mutated-summand", 50, sumof(built.children[:-1] + (
+        Product(built.children[-1].children + (Term(a(1)),)),))
+    yield "child", 50, next(c for c in built.children if internal(c))
+    yield "deep-chain", 3, deep_chain(5000)
+
+
+class TestUnbuiltRoots:
+    @pytest.mark.parametrize("case", range(5))
+    def test_folds_match_a_local_walk(self, case):
+        name, n, e = list(unbuilt_roots())[case]
+        assert e._children_first is None
+        order = _order(e)
+        assert order is _order(e)
+        rng = random.Random(case)
+        pts = [Assignment.random(edges(max(n, 3)), PRIME, rng) for _ in range(4)]
+        want = [local_fold(e, pt.values) for pt in pts]
+        assert evaluate_mod(e, pts) == [v for v, _, _ in want]
+        assert [evaluate_mod(e, pt) for pt in pts] == [v for v, _, _ in want]
+        assert evaluate_mod(e, pts[:1]) == [want[0][0]]
+        assert metric_terms(e) == want[0][1]
+        assert metric_plus(e) == want[0][2]
+        assert _order(e) is order
+
+    def test_parsed_order_leaves_out_nodes_that_flattening_dropped(self):
+        e = parse("(a1a2)a3+b1")
+        assert [format_expression(x) for x in _order(e)] == ["a1a2a3"]
+
+    def test_long_product_stays_exact(self):
+        labels = [a(k) for k in range(1, 200)]
+        pt = Assignment.random(labels, PRIME, random.Random(3))
+        e = Product(tuple(Term(lab) for lab in labels * 5))
+        value = 1
+        for lab in labels * 5:
+            value = value * pt.values[lab] % PRIME
+        assert evaluate_mod(e, pt) == value
+        assert evaluate_mod(e, [pt, pt]) == [value, value]
