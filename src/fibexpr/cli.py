@@ -70,13 +70,6 @@ def false_pass_bound(n: int, trials: int, prime: int) -> str:
     return f"{mantissa:.1f}e{whole}"
 
 
-def _build(n, method, m, tie, seed, vertex):
-    try:
-        return build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _method_opts(fn):
     fn = click.option("--method", type=click.Choice(METHODS), default="middle",
                       show_default=True)(fn)
@@ -91,8 +84,8 @@ def _method_opts(fn):
 
 class _Main(click.Group):
     """The command group.  An ExprError that a command leaves uncaught (an n,
-    m or size outside the domain of the operation) is a usage error: exit 2
-    with its message, no traceback."""
+    m or size outside the domain of the operation, or a method without the
+    option it needs) is a usage error: exit 2 with its message, no traceback."""
 
     def invoke(self, ctx):
         try:
@@ -119,7 +112,7 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
 
     The text of the formula is built only when it is written to --out or is
     short enough to print; otherwise only its length is computed."""
-    e = _build(n, method, m, tie, seed, vertex)
+    e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
     length = formula_length(e)
     terms, plus = metric_terms(e), metric_plus(e)
     show_inline = length <= MAX_CONSOLE_FORMULA
@@ -165,7 +158,7 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
         except ParseError as exc:
             raise click.UsageError(f"cannot parse {formula_file}: {exc}")
     else:
-        e = _build(n, method, m, tie, seed, vertex)
+        e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
     if mode == "expand":
         detail = f"{path_count(n)} monomials"
         try:
@@ -218,7 +211,8 @@ def cmd_special(n_max, fmt):
 
 @main.command("table")
 @click.option("--n-max", type=int, required=True)
-@click.option("--method", type=click.Choice(METHODS), default="middle", show_default=True)
+@click.option("--method", type=click.Choice(["canonical", "middle", "leftmost"]),
+              default="middle", show_default=True, help="a method that needs no option")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)

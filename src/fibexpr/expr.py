@@ -23,8 +23,8 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1
 DEFAULT_EXPANSION_BOUND = 10**6
 
 
-class ExprError(Exception):
-    """Base class for expression errors."""
+class ExprError(ValueError):
+    """Base class for every argument or input that fibexpr rejects."""
 
 
 class SizeExceeded(ExprError):
@@ -60,9 +60,9 @@ class Label(_LabelFields):
 
     def __new__(cls, kind: str, index: int):
         if kind not in ("a", "b"):
-            raise ValueError(f"label kind must be 'a' or 'b', got {kind!r}")
+            raise ExprError(f"label kind must be 'a' or 'b', got {kind!r}")
         if index < 1:
-            raise ValueError(f"label index must be >= 1, got {index}")
+            raise ExprError(f"label index must be >= 1, got {index}")
         return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
@@ -97,10 +97,10 @@ class Term:
 class _Internal:
     """Structural equality and hashing for Sum and Product, without recursion.
 
-    The hash is computed on first use, bottom-up with an explicit stack, and
-    cached on each node; construction does no extra work.  Equality walks
-    pairs of nodes with an explicit stack and visits each pair once, so two
-    DAGs that share no nodes compare in time linear in their distinct nodes.
+    The hash is computed on first use, children first over _walk, and cached
+    on each node; construction does no extra work.  Equality walks pairs of
+    nodes with an explicit stack and visits each pair once, so two DAGs that
+    share no nodes compare in time linear in their distinct nodes.
     """
 
     _hash = None
@@ -108,17 +108,8 @@ class _Internal:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            stack = [self]
-            while stack:
-                x = stack[-1]
-                todo = [c for c in x.children
-                        if isinstance(c, _Internal) and c._hash is None]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                if x._hash is None:
-                    object.__setattr__(x, "_hash", hash((type(x), x.children)))
+            for x in chain(_walk(self, hashed=True), (self,)):
+                object.__setattr__(x, "_hash", hash((type(x), x.children)))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -260,25 +251,34 @@ def _order(e: Expression) -> list:
     children; e itself is left out, so caching the list on e makes no cycle.
 
     A builder hands the list over with _set_order as it makes the nodes in
-    that order; any other root is walked once, with an explicit stack, and
-    keeps the list for later folds."""
+    that order; any other root is walked once and keeps the list for later
+    folds."""
     if not isinstance(e, _Internal):
         return []
     order = e._children_first
     if order is None:
-        order, seen = [], {id(e)}
-        stack = [(e, iter(e.children))]
-        while stack:
-            x, todo = stack[-1]
-            for c in todo:
-                if isinstance(c, _Internal) and id(c) not in seen:
-                    seen.add(id(c))
-                    stack.append((c, iter(c.children)))
-                    break
-            else:
-                order.append(stack.pop()[0])
-        order.pop()  # e
-        _set_order(e, order)
+        _set_order(e, order := _walk(e))
+    return order
+
+
+def _walk(e: _Internal, hashed: bool = False) -> list:
+    """_order(e), walked with an explicit stack.  With hashed, a node whose
+    hash is cached is left out with everything below it, so hashing nodes
+    one at a time stays linear in all of them."""
+    order, seen = [], {id(e)}
+    stack = [(e, iter(e.children))]
+    while stack:
+        x, todo = stack[-1]
+        for c in todo:
+            if isinstance(c, _Internal) and id(c) not in seen:
+                seen.add(id(c))
+                if hashed and c._hash is not None:
+                    continue
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            order.append(stack.pop()[0])
+    order.pop()  # e
     return order
 
 
@@ -378,7 +378,7 @@ def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
     """The points of a scalar or batch evaluation, checked to share a prime."""
     points = [v] if isinstance(v, Assignment) else list(v)
     if any(pt.prime != points[0].prime for pt in points):
-        raise ValueError("all points of one evaluation must share a prime")
+        raise ExprError("all points of one evaluation must share a prime")
     return points
 
 
@@ -438,21 +438,22 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     return _memoized(e, leaf, combine_sum, combine_product, _parent_counts(e))
 
 
-def _count_labels(x, counts: list[Counter]) -> Counter:
-    out: Counter = Counter()
-    for c in counts:
-        out.update(c)
-    return out
-
-
 def labels_of(e: Expression) -> Counter:
-    """Multiset of labels occurring in e (with multiplicity)."""
-    return _memoized(
-        e,
-        leaf=lambda x: Counter([x.label]) if isinstance(x, Term) else Counter(),
-        combine_sum=_count_labels,
-        combine_product=_count_labels,
-    )
+    """Multiset of labels occurring in e (with multiplicity), in one pass over
+    the nodes parents first: each node's print count is complete before it
+    adds that count to each of its child slots."""
+    if not isinstance(e, _Internal):
+        return Counter([e.label] if isinstance(e, Term) else [])
+    printed = {id(e): 1}
+    out: Counter = Counter()
+    for x in chain((e,), reversed(_order(e))):
+        k = printed[id(x)]
+        for c in x.children:
+            if isinstance(c, Term):
+                out[c.label] += k
+            elif isinstance(c, _Internal):
+                printed[id(c)] = printed.get(id(c), 0) + k
+    return out
 
 
 def is_read_once(e: Expression) -> bool:

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .decompose import GdSpec, InvalidM, decompose, decompose_gd
+# Read graph.canonical_expression at call time, so a wrapper patched there sees it.
+from . import graph
+from .decompose import (FixedMap, GdSpec, Leftmost, MiddleHigh, MiddleLow, Seeded, decompose,
+                        decompose_gd)
 from .expr import ExprError, Expression, metric_plus, metric_terms
-from .graph import _check_n
+from .graph import _check_n, equivalent_by_expansion, equivalent_by_sampling
 
 
 class DegenerateFit(ExprError):
@@ -67,7 +70,7 @@ class IntervalTable:
     def __init__(self, n: int, metric: str):
         _check_n(n)
         if metric not in ("T", "P"):
-            raise ValueError(f"metric must be 'T' or 'P', got {metric!r}")
+            raise ExprError(f"metric must be 'T' or 'P', got {metric!r}")
         self.n = n
         self.metric = metric
         # Indexed by interval length.  With pair[k] = best[k] + best[k+1],
@@ -138,7 +141,6 @@ def verify_theorem1(n_max: int) -> TheoremReport:
     all (n, p, q); `checked` counts those, sum (n-1)(n-2)/2 = C(n_max, 3).
     A length that fails is reported at every (n, p, q) it covers, in the
     order of n, then length, then p."""
-    _check_n(n_max, minimum=3)
     table = min_metric(n_max, "T")
     bad = []  # (length, argmin, middle set) of (1, length), per failing length
     for length in range(3, n_max + 1):
@@ -202,8 +204,6 @@ def gd_expression(n: int, m: int) -> Expression:
 def exponent_fit(m: int, n_list: list) -> float:
     """Least-squares slope of log T(n) against log n for uniform GD
     expressions with the given part count."""
-    if m < 2:
-        raise InvalidM(f"need m >= 2, got {m}")
     if len(n_list) < 4 or any(y <= x for x, y in zip(n_list, n_list[1:])):
         raise DegenerateFit("need at least 4 strictly increasing values of n")
     points = []
@@ -234,43 +234,35 @@ def build_expression(n: int, method: str, *, m: int | None = None,
                      tie: str = "low", seed: int | None = None,
                      vertex: int | None = None) -> Expression:
     """Method-name dispatch shared by the CLI, tables, and verification."""
-    from .decompose import FixedMap, Leftmost, MiddleHigh, MiddleLow, Seeded
-    from .graph import canonical_expression
-
     if method == "canonical":
-        return canonical_expression(n)
+        return graph.canonical_expression(n)
     if method == "middle":
         return decompose(n, MiddleHigh() if tie == "high" else MiddleLow())
     if method == "fixed":
         if vertex is None:
-            raise ValueError("method 'fixed' needs a first-step vertex")
+            raise ExprError("method 'fixed' needs a first-step vertex")
         return decompose(n, FixedMap({(1, n): vertex}))
     if method == "leftmost":
         return decompose(n, Leftmost())
     if method == "seeded":
         if seed is None:
-            raise ValueError("method 'seeded' needs a seed")
+            raise ExprError("method 'seeded' needs a seed")
         return decompose(n, Seeded(seed))
     if method == "gd":
         if m is None:
-            raise ValueError("method 'gd' needs a part count m")
+            raise ExprError("method 'gd' needs a part count m")
         return decompose_gd(n, GdSpec(m))
-    raise ValueError(f"unknown method {method!r}")
+    raise ExprError(f"unknown method {method!r}")
 
 
-def complexity_table(n_max: int, method: str = "middle",
-                     verify: bool = True) -> list[ComplexityRecord]:
+def complexity_table(n_max: int, method: str = "middle") -> list[ComplexityRecord]:
     """Records for n = 2..n_max; equivalence by full expansion up to n=14,
     by modular sampling beyond."""
-    from .graph import equivalent_by_expansion, equivalent_by_sampling
-
     _check_n(n_max, minimum=2)
     rows = []
     for n in range(2, n_max + 1):
         e = build_expression(n, method)
-        if not verify:
-            equivalent = True
-        elif n <= 14:
+        if n <= 14:
             equivalent = equivalent_by_expansion(e, n)
         else:
             equivalent = equivalent_by_sampling(e, n, trials=8)

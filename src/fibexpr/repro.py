@@ -14,7 +14,6 @@ from .decompose import FixedMap, GdSpec, MiddleLow, decompose, decompose_gd
 from .expr import (
     Term,
     a,
-    b,
     expand,
     format_expression,
     is_read_once,

@@ -177,6 +177,11 @@ class TestVerify:
     ("verify --n 0 --mode modeval", "need an integer n >= 1, got 0"),
     ("optimize --n 2", "need an integer n >= 3, got 2"),
     ("expr --n 9 --method gd --m 1", "need m >= 2, got 1"),
+    ("expr --n 9 --method gd", "method 'gd' needs a part count m"),
+    ("expr --n 9 --method seeded", "method 'seeded' needs a seed"),
+    ("expr --n 9 --method fixed", "method 'fixed' needs a first-step vertex"),
+    ("verify --n 9 --method gd --mode modeval", "method 'gd' needs a part count m"),
+    ("fit --m 1 --n-list 64,128,256,512", "need m >= 2, got 1"),
     ("fit --m 2 --n-list 1,2,3,4", "too small to fit"),
     ("expr --n 40 --method canonical", "paths exceeds bound"),
     ("verify --n 40 --mode expand", "paths exceeds bound"),
@@ -244,6 +249,20 @@ class TestTable:
         data = json.loads(result.output)
         assert [r["n"] for r in data] == [2, 3, 4, 5]
         assert all(r["equivalent"] for r in data)
+
+    @pytest.mark.parametrize("method", ["gd", "seeded", "fixed"])
+    def test_method_that_needs_an_option_is_usage_error(self, method):
+        result = run("table", "--n-max", "5", "--method", method)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: Invalid value for '--method'" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("method", ["canonical", "leftmost"])
+    def test_methods_without_options(self, method):
+        result = run("table", "--n-max", "6", "--method", method, "--format", "json")
+        assert result.exit_code == 0
+        assert [r["method"] for r in json.loads(result.output)] == [method] * 5
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fibexpr.decompose import decompose
 from fibexpr.expr import (
     Assignment,
     DuplicateMonomial,
+    ExprError,
     Label,
     ParseError,
     Product,
@@ -27,6 +29,7 @@ from fibexpr.expr import (
     sp_parallel,
     sp_series,
 )
+from fibexpr.optimize import IntervalTable, build_expression
 
 
 def T(kind, index):
@@ -46,6 +49,19 @@ class TestLabel:
 
     def test_ordering_is_kind_then_index(self):
         assert sorted([b(1), a(2), a(1)]) == [a(1), a(2), b(1)]
+
+
+@pytest.mark.parametrize("reject", [
+    lambda: Label("c", 1),
+    lambda: Label("a", 0),
+    lambda: evaluate_mod(decompose(3), [Assignment({}, 10007), Assignment({}, 10009)]),
+    lambda: IntervalTable(5, "X"),
+    lambda: build_expression(9, "gd"),
+])
+def test_every_rejection_is_an_expr_error(reject):
+    assert issubclass(ExprError, ValueError)
+    with pytest.raises(ExprError):
+        reject()
 
 
 class TestMetrics:

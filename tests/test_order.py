@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import fibexpr.expr
 from fibexpr.decompose import (
     FixedMap,
     GdSpec,
@@ -211,3 +212,24 @@ class TestUnbuiltRoots:
             value = value * pt.values[lab] % PRIME
         assert evaluate_mod(e, pt) == value
         assert evaluate_mod(e, [pt, pt]) == [value, value]
+
+
+def test_hashing_node_by_node_stays_linear(monkeypatch):
+    """Hashing every node of a deep chain one at a time, children first,
+    walks no node twice: each walk leaves out the nodes hashed before it."""
+    want = hash(deep_chain(5000))  # hashed from the root alone
+    e = deep_chain(5000)
+    nodes = [*_order(e), e]
+    walk, walked = fibexpr.expr._walk, []
+
+    def counting_walk(x, hashed=False):
+        out = walk(x, hashed)
+        walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(fibexpr.expr, "_walk", counting_walk)
+    for x in nodes:
+        hash(x)
+    assert len(walked) == len(nodes)
+    assert sum(walked) <= len(nodes)  # about 12.5M if cached hashes were walked again
+    assert hash(e) == want

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -163,6 +164,40 @@ class TestBatchedEvaluation:
         e = deep_chain(2000)
         _memoized(e, value, value, value, _parent_counts(e))
         assert most <= 8  # without freeing, every one of the 8,001 values stays
+
+
+def local_label_counts(e):
+    """labels_of by this test's own walk: each node's Counter is the sum of
+    its children's, memoised by identity, with an explicit stack."""
+    memo, stack = {}, [e]
+    while stack:
+        x = stack[-1]
+        if id(x) in memo:
+            stack.pop()
+        elif isinstance(x, Term):
+            memo[id(x)] = Counter([x.label])
+        elif not isinstance(x, (Sum, Product)):
+            memo[id(x)] = Counter()
+        elif todo := [c for c in x.children if id(c) not in memo]:
+            stack.extend(todo)
+        else:
+            memo[id(x)] = sum((memo[id(c)] for c in x.children), Counter())
+    return memo[id(e)]
+
+
+LABELLED = {
+    **{name: build for name, (_, build) in EXPRESSIONS.items()},
+    "canonical": lambda: canonical_expression(11),
+    "middle-large": lambda: decompose(300),
+    "parsed-gd3": lambda: parse(format_expression(decompose_gd(40, GdSpec(3)))),
+    "deep-chain": lambda: deep_chain(5000),
+}
+
+
+@pytest.mark.parametrize("name", LABELLED)
+def test_labels_of_matches_a_local_count(name):
+    e = LABELLED[name]()
+    assert labels_of(e) == local_label_counts(e)
 
 
 class TestDeepFolds:
