@@ -43,6 +43,7 @@ from .optimize import (
 )
 
 MAX_CONSOLE_FORMULA = 10_000
+MAX_FORMULA_FILE = 2**28  # characters written by expr --out
 
 METHODS = ("canonical", "middle", "fixed", "leftmost", "seeded", "gd")
 
@@ -114,6 +115,8 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
     short enough to print; otherwise only its length is computed."""
     e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
     length = formula_length(e)
+    if out is not None and length > MAX_FORMULA_FILE:
+        raise ExprError(f"formula of {length} characters exceeds --out bound {MAX_FORMULA_FILE}")
     terms, plus = metric_terms(e), metric_plus(e)
     show_inline = length <= MAX_CONSOLE_FORMULA
     formula = format_expression(e) if show_inline or out is not None else None

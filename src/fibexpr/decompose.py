@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .expr import ExprError, Expression, Product, Sum, UNIT, _set_order, _term_table
+from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, Product, SizeExceeded,
+                   Sum, UNIT, _set_order, _term_table)
 from .graph import _check_n
 
 
@@ -102,13 +103,16 @@ def _build(n: int, split) -> Expression:
     """E(1, n) with each interval (p, q), q-p >= 2, split at the increasing
     vertices split(p, q) strictly inside it.
 
-    Summands follow the binary counter over bypass subsets, first vertex
-    lowest, and one with a zero segment is left out; the masks after it that
-    bypass the same two consecutive vertices are skipped.  Intervals are
-    found with an explicit stack and built shortest first, so no depth limit
-    applies.  Each interval maps to the tuple of its factors, () for
-    E(x, x) = 1, so joining tuples multiplies without units; no factor is a
-    Product and no summand a Sum, so nodes come out as product and sumof
+    Vertices are kept or bypassed in turn, last first, each partial summand
+    carrying the end r of the segment open on its left; bypassing v needs
+    v < r, as E(v+1, v) = 0, so only surviving summands are made.  Keep goes
+    before bypass, which gives the recursive GD form's order: the binary
+    counter over bypass subsets, first vertex lowest.  An interval of more
+    than DEFAULT_EXPANSION_BOUND summands is refused before any node is made.
+    Intervals are found with an explicit stack and built shortest first, so
+    no depth limit applies.  Each interval maps to the tuple of its factors,
+    () for E(x, x) = 1, so joining tuples multiplies without units; no factor
+    is a Product and no summand a Sum, so nodes come out as product and sumof
     would return them.  Every node is made after its children, so the list
     of them in the order made is the root's _order, handed over with it.
     """
@@ -129,41 +133,37 @@ def _build(n: int, split) -> Expression:
         if not vs:
             raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
         by_length[q - p].append((p, q, vs))
-        u = p  # a segment starts at u, or at u+1 after bypassing u
+        u, kept, bypassed = p, 1, 0  # summands so far that keep or bypass u
         for v in vs:
             if not u < v < q:
                 raise InvalidVertexChoice(f"vertices {list(vs)} invalid for interval ({p},{q})")
             todo += (u, v), (u, v - 1)
-            if p < u < v - 1:
+            if p < u < v - 1:  # a segment starts at u+1 after bypassing u
                 todo += (u + 1, v), (u + 1, v - 1)
+            kept, bypassed = kept + bypassed, kept + bypassed if u + 1 < v else kept
             u = v
+        if kept + bypassed > DEFAULT_EXPANSION_BOUND:
+            raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds bound "
+                               f"{DEFAULT_EXPANSION_BOUND}")
         todo += (u, q), (u + 1, q)
     for found in by_length:
         for p, q, vs in found:
+            tails = [((), q)]  # (factors right of the open segment, its end r)
+            for v in reversed(vs):
+                grown = []
+                for fs, r in tails:
+                    grown.append((factors[v, r] + fs, v))
+                    if v < r:  # E(v+1, r) is not the zero E(v+1, v)
+                        grown.append((bypass[v] + factors[v + 1, r] + fs, v - 1))
+                tails = grown
             summands = []
-            mask, end = 0, 1 << len(vs)  # bit j set: vs[j] is bypassed
-            while mask < end:
-                fs, l, bit = (), p, 1
-                for v in vs:
-                    if not mask & bit:
-                        fs += factors[l, v]
-                        l = v
-                    elif l < v:
-                        fs += factors[l, v - 1] + bypass[v]
-                        l = v + 1
-                    else:  # v-1 was bypassed too: E(v, v-1) = 0, as for the
-                        # masks up to the carry out of this bit, which keep both
-                        mask = (mask | (bit - 1)) + 1
-                        break
-                    bit <<= 1
+            for fs, r in tails:
+                fs = factors[p, r] + fs
+                if len(fs) == 1:
+                    summands.append(fs[0])
                 else:
-                    fs += factors[l, q]
-                    if len(fs) == 1:
-                        summands.append(fs[0])
-                    else:
-                        summands.append(Product(fs))
-                        made.append(summands[-1])
-                    mask += 1
+                    summands.append(Product(fs))
+                    made.append(summands[-1])
             made.append(Sum(tuple(summands)))
             factors[p, q] = (made[-1],)
     if n < 3:

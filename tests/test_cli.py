@@ -64,6 +64,15 @@ class TestExpr:
             "[formula of 1110745166 characters; use --out to save it]",
             "terms=267914294 plus=102334154"]
 
+    def test_formula_too_long_for_out_file_is_refused(self, tmp_path):
+        # 16,802,244,881,216 characters: refused before the text is built
+        out = tmp_path / "f.txt"
+        result = run("expr", "--n", "60", "--method", "leftmost", "--out", str(out))
+        assert result.exit_code == 2
+        assert "exceeds --out bound" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_deep_leftmost_builds(self):
         result = run("expr", "--n", "3000", "--method", "leftmost")
         assert result.exit_code == 0
@@ -185,6 +194,8 @@ class TestVerify:
     ("fit --m 2 --n-list 1,2,3,4", "too small to fit"),
     ("expr --n 40 --method canonical", "paths exceeds bound"),
     ("verify --n 40 --mode expand", "paths exceeds bound"),
+    ("expr --n 40 --method gd --m 40", "summands"),
+    ("fit --m 100 --n-list 64,128,256,512", "summands"),
 ])
 def test_domain_errors_exit_2_without_traceback(args, message):
     result = run(*args.split())

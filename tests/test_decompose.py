@@ -1,5 +1,6 @@
 """Decomposition procedures: binary, generalized, and vertex strategies."""
 
+import importlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from fibexpr.decompose import (
 from fibexpr.expr import (
     Assignment,
     Product,
+    SizeExceeded,
     Sum,
     Term,
     UNIT,
@@ -35,6 +37,7 @@ from fibexpr.expr import (
     sumof,
 )
 from fibexpr.graph import (
+    canonical_expression,
     edges,
     enumerate_paths,
     equivalent_by_sampling,
@@ -179,6 +182,26 @@ class TestDecomposeGd:
         assert equivalent_by_sampling(decompose_gd(200, GdSpec(3)), 200,
                                       trials=16, seed=0)
 
+    def test_summand_bound_is_exact(self, monkeypatch):
+        # fibexpr.decompose is the function, so the module is looked up by name
+        module = importlib.import_module("fibexpr.decompose")
+        for n in range(3, 21):
+            for m in range(2, n + 1):
+                summands = len(decompose_gd(n, GdSpec(m)).children)
+                monkeypatch.setattr(module, "DEFAULT_EXPANSION_BOUND", summands - 1)
+                with pytest.raises(SizeExceeded, match=f"{summands} summands"):
+                    decompose_gd(n, GdSpec(m))
+                monkeypatch.setattr(module, "DEFAULT_EXPANSION_BOUND", summands)
+                assert len(decompose_gd(n, GdSpec(m)).children) == summands
+                monkeypatch.undo()
+
+    def test_refused_with_the_canonical_path_set(self):
+        # F(31) summands and F(31) paths, both past the default bound
+        with pytest.raises(SizeExceeded):
+            decompose_gd(31, GdSpec(30))
+        with pytest.raises(SizeExceeded):
+            canonical_expression(31)
+
 
 # -- the one builder, against the two recursive builders it replaced ----------
 
@@ -273,6 +296,12 @@ def test_binary_builder_matches_recursive_reference(strategy):
 def test_gd_builder_matches_recursive_reference(m):
     for n in range(1, 41):
         assert decompose_gd(n, GdSpec(m)) == reference_decompose_gd(n, GdSpec(m)), n
+
+
+def test_densest_vertex_runs_match_recursive_reference():
+    # every interior vertex splits (1, n): the longest runs of adjacent vertices
+    for n in range(2, 17):
+        assert decompose_gd(n, GdSpec(n)) == reference_decompose_gd(n, GdSpec(n)), n
 
 
 # () is left out: the reference recurses on (1, 9) forever there
