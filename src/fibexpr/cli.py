@@ -71,6 +71,15 @@ def false_pass_bound(n: int, trials: int, prime: int) -> str:
     return f"{mantissa:.1f}e{whole}"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path as UTF-8; a failed write is an ExprError, so it
+    exits 2 with one line that names the file."""
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ExprError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _method_opts(fn):
     fn = click.option("--method", type=click.Choice(METHODS), default="middle",
                       show_default=True)(fn)
@@ -85,8 +94,9 @@ def _method_opts(fn):
 
 class _Main(click.Group):
     """The command group.  An ExprError that a command leaves uncaught (an n,
-    m or size outside the domain of the operation, or a method without the
-    option it needs) is a usage error: exit 2 with its message, no traceback."""
+    m or size outside the domain of the operation, a method without the
+    option it needs, or an --out or --formula file that cannot be written or
+    decoded) is a usage error: exit 2 with its message, no traceback."""
 
     def invoke(self, ctx):
         try:
@@ -121,7 +131,7 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
     show_inline = length <= MAX_CONSOLE_FORMULA
     formula = format_expression(e) if show_inline or out is not None else None
     if out is not None:
-        out.write_text(formula + "\n", encoding="utf-8", newline="\n")
+        _write(out, formula + "\n")
     if fmt == "json":
         payload = {"n": n, "method": method, "terms": terms, "plus": plus}
         if show_inline:
@@ -158,6 +168,8 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
     if formula_file is not None:
         try:
             e = parse(formula_file.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ExprError(f"cannot read {formula_file}: not UTF-8 at byte {exc.start}") from exc
         except ParseError as exc:
             raise click.UsageError(f"cannot parse {formula_file}: {exc}")
     else:
@@ -240,7 +252,7 @@ def cmd_table(n_max, method, fmt, out):
                          f"{r.t_predicted:>8} {r.p_predicted:>8}  {str(r.equivalent).lower()}")
         text = "\n".join(lines) + "\n"
     if out is not None:
-        out.write_text(text, encoding="utf-8", newline="\n")
+        _write(out, text)
         click.echo(f"wrote {len(rows)} rows to {out}")
     else:
         click.echo(text, nl=False)

@@ -22,6 +22,11 @@ from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, Product, Size
 from .graph import _check_n
 
 
+# Summands over all intervals of one build.  decompose(100000) has 1.54 M
+# and peaks near 0.7 GB, so a build at the bound needs about 2 GB.
+_BUILD_SUMMAND_BOUND = 4 * DEFAULT_EXPANSION_BOUND
+
+
 class InvalidVertexChoice(ExprError):
     """A strategy or first-step list gave no vertices for an interval, or
     vertices that are not increasing and strictly inside it."""
@@ -108,7 +113,9 @@ def _build(n: int, split) -> Expression:
     v < r, as E(v+1, v) = 0, so only surviving summands are made.  Keep goes
     before bypass, which gives the recursive GD form's order: the binary
     counter over bypass subsets, first vertex lowest.  An interval of more
-    than DEFAULT_EXPANSION_BOUND summands is refused before any node is made.
+    than DEFAULT_EXPANSION_BOUND summands, or a build of more than
+    _BUILD_SUMMAND_BOUND over all its intervals, is refused before any node
+    is made.
     Intervals are found with an explicit stack and built shortest first, so
     no depth limit applies.  Each interval maps to the tuple of its factors,
     () for E(x, x) = 1, so joining tuples multiplies without units; no factor
@@ -122,6 +129,7 @@ def _build(n: int, split) -> Expression:
     bypass = {v: (term("b", v - 1),) for v in range(2, n)}
     by_length: list[list] = [[] for _ in range(n)]  # (p, q, vertices) to build
     made: list = []  # every Sum and Product, children first
+    total = 0  # summands of the intervals found so far
     todo = [(1, n)]
     while todo:
         key = todo.pop()
@@ -145,6 +153,10 @@ def _build(n: int, split) -> Expression:
         if kept + bypassed > DEFAULT_EXPANSION_BOUND:
             raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds bound "
                                f"{DEFAULT_EXPANSION_BOUND}")
+        total += kept + bypassed
+        if total > _BUILD_SUMMAND_BOUND:
+            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
+                               f"{_BUILD_SUMMAND_BOUND}")
         todo += (u, q), (u + 1, q)
     for found in by_length:
         for p, q, vs in found:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -79,8 +78,10 @@ class IntervalTable:
         # difference of pair is non-negative (`convex`), f is convex too, so
         # it is lowest at h = (length-1)//2, non-increasing on [1, h], and
         # its argmin is the one range(d0, length-d0), with d0 the first
-        # d <= h where f(d) == f(h), found by binary search.  Once
-        # convexity fails, every later length scans all d <= h (d and
+        # d <= h where f(d) == f(h).  d0 is found by galloping down from h
+        # (steps 1, 2, 4, ... while f stays at its low) and then halving the
+        # step back to 1, so a middle-only argmin costs one comparison.
+        # Once convexity fails, every later length scans all d <= h (d and
         # length-1-d cost the same).
         best = [None, 0, _AT_2[metric]]
         pair = [None, best[1] + best[2]]
@@ -89,9 +90,16 @@ class IntervalTable:
         for length in range(3, n + 1):
             h = (length - 1) // 2
             if convex:
-                low = pair[h] + pair[length - 1 - h]
-                d0 = 1 + bisect_left(range(1, h + 1), True,
-                                     key=lambda d: pair[d] + pair[length - 1 - d] == low)
+                e = length - 1 - h
+                low = pair[h] + pair[e]
+                d0, step = h, 1
+                while d0 > step and pair[d0 - step] + pair[e + step] == low:
+                    d0, e, step = d0 - step, e + step, 2 * step
+                # Now d0 - step < (the first d with f(d) == low) <= d0.
+                while step > 1:
+                    step //= 2
+                    if d0 > step and pair[d0 - step] + pair[e + step] == low:
+                        d0, e = d0 - step, e + step
                 arg_offsets.append(range(d0, length - d0))
             else:
                 candidates = list(map(add, pair[1:h + 1], pair[length - 2:length - 2 - h:-1]))
@@ -139,15 +147,16 @@ def verify_theorem1(n_max: int) -> TheoremReport:
     and both the argmin and the middle set of (p, q) are p plus offsets
     that depend only on q - p.  Checking each length once therefore checks
     all (n, p, q); `checked` counts those, sum (n-1)(n-2)/2 = C(n_max, 3).
-    A length that fails is reported at every (n, p, q) it covers, in the
+    Each length is decided on offsets from vertex 1 (a range or a set), as
+    in special_values, so no argmin vertex set is built per length.  A
+    length that fails is reported at every (n, p, q) it covers, in the
     order of n, then length, then p."""
     table = min_metric(n_max, "T")
     bad = []  # (length, argmin, middle set) of (1, length), per failing length
     for length in range(3, n_max + 1):
-        got = sorted(table.argmin_vertices(1, length))
-        want = sorted(middle_vertices(1, length))
-        if got != want:
-            bad.append((length, got, want))
+        offsets, middle = table._arg_offsets[length], middle_vertices(0, length - 1)
+        if len(offsets) != len(middle) or not all(d in offsets for d in middle):
+            bad.append((length, sorted(1 + d for d in offsets), sorted(1 + d for d in middle)))
     violations = [(n, p, p + length - 1, [v + p - 1 for v in got], [v + p - 1 for v in want])
                   for n in range(3, n_max + 1)
                   for length, got, want in bad if length <= n

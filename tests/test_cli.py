@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from fibexpr.cli import main
 from fibexpr.expr import format_expression, parse
-from fibexpr.optimize import build_expression
+from fibexpr.optimize import build_expression, recurrence_P
 
 
 def run(*args, **kwargs):
@@ -196,12 +196,30 @@ class TestVerify:
     ("verify --n 40 --mode expand", "paths exceeds bound"),
     ("expr --n 40 --method gd --m 40", "summands"),
     ("fit --m 100 --n-list 64,128,256,512", "summands"),
+    ("expr --n 1024 --method gd --m 20", "a build of at least"),
 ])
 def test_domain_errors_exit_2_without_traceback(args, message):
     result = run(*args.split())
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    "expr --n 5 --out {missing}/f.txt",
+    "table --n-max 3 --out {missing}/t.csv",
+    "verify --n 2 --formula {bad}",
+])
+def test_file_errors_exit_2_without_traceback(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a1\xff\xfe")
+    args = command.format(missing=tmp_path / "missing", bad=bad).split()
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+    assert args[-1] in result.output
     assert "Traceback" not in result.output
 
 
@@ -227,6 +245,13 @@ class TestOptimizeSpecialFit:
         payload = json.loads(result.output)
         assert payload["argmin"] == [50000, 50001]
         assert payload["min"] == 3987230293
+
+    def test_optimize_n100000_p_json(self):
+        result = run("optimize", "--n", "100000", "--metric", "P", "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["min"] == recurrence_P(100000)
+        assert payload["argmin"] == list(range(49152, 50850))
 
     def test_special_31(self):
         result = run("special", "--n-max", "31")

@@ -26,6 +26,7 @@ from fibexpr.expr import (
     Term,
     UNIT,
     ZERO,
+    _order,
     a,
     b,
     evaluate_mod,
@@ -194,6 +195,25 @@ class TestDecomposeGd:
                 monkeypatch.setattr(module, "DEFAULT_EXPANSION_BOUND", summands)
                 assert len(decompose_gd(n, GdSpec(m)).children) == summands
                 monkeypatch.undo()
+
+    def test_build_summand_bound_is_exact(self, monkeypatch):
+        module = importlib.import_module("fibexpr.decompose")
+        builds = [(lambda n=n, m=m: decompose_gd(n, GdSpec(m)))
+                  for n in range(3, 21) for m in range(2, n + 1)]
+        builds += [lambda: decompose(300), lambda: decompose(150, Leftmost()),
+                   lambda: decompose(100, Seeded(1)), lambda: decompose_gd(300, GdSpec(5))]
+
+        def summands(e):
+            return sum(len(x.children) for x in [*_order(e), e] if isinstance(x, Sum))
+
+        for build in builds:
+            total = summands(build())
+            monkeypatch.setattr(module, "_BUILD_SUMMAND_BOUND", total - 1)
+            with pytest.raises(SizeExceeded, match=f"a build of at least {total} summands"):
+                build()
+            monkeypatch.setattr(module, "_BUILD_SUMMAND_BOUND", total)
+            assert summands(build()) == total
+            monkeypatch.undo()
 
     def test_refused_with_the_canonical_path_set(self):
         # F(31) summands and F(31) paths, both past the default bound

@@ -207,6 +207,22 @@ class TestConvexShortcut:
             assert isinstance(got, set)
             assert got == {1 + d for d in arg_offsets[length]}
 
+    def test_wide_p_argmins_equal_an_exhaustive_scan(self):
+        # The argmins wider than 64 offsets are where the search for d0 takes
+        # steps of 64 up to 512, past what the comparison to 1500 reaches.
+        table = IntervalTable(6000, "P")
+        best = table._best
+        wide = [length for length in range(3, 6001) if len(table._arg_offsets[length]) > 64]
+        assert (len(wide), wide[0], wide[-1]) == (1420, 447, 4033)
+        assert max(len(table._arg_offsets[length]) for length in wide) == 514
+        for length in wide:
+            costs = [best[d + 1] + best[length - d] + best[d] + best[length - d - 1] + 1
+                     for d in range(1, length - 1)]
+            low = min(costs)
+            assert best[length] == low
+            assert table.argmin_vertices(1, length) == {
+                1 + d for d, cost in enumerate(costs, 1) if cost == low}
+
     def test_non_convex_pair_falls_back_to_the_scan(self, monkeypatch):
         monkeypatch.setitem(optimize._AT_2, "T", -1)
         ref = ReferenceTable(120, "T", at_2=-1)
