@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, Product, SizeExceeded,
-                   Sum, UNIT, _set_order, _term_table)
+                   Sum, UNIT, _hand_over, _term_table)
 from .graph import _check_n
 
 
@@ -120,8 +120,10 @@ def _build(n: int, split) -> Expression:
     no depth limit applies.  Each interval maps to the tuple of its factors,
     () for E(x, x) = 1, so joining tuples multiplies without units; no factor
     is a Product and no summand a Sum, so nodes come out as product and sumof
-    would return them.  Every node is made after its children, so the list
-    of them in the order made is the root's _order, handed over with it.
+    would return them.  Each length makes all its Products, then all its
+    Sums, grouped by arity: a group's internal children are all in earlier
+    groups, so the groups are handed over with the root for _plan, and
+    flattened they are its _order.
     """
     term = _term_table()
     factors: dict[tuple, tuple | None] = {(x, x): () for x in range(1, n + 1)}
@@ -158,7 +160,11 @@ def _build(n: int, split) -> Expression:
             raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
                                f"{_BUILD_SUMMAND_BOUND}")
         todo += (u, q), (u + 1, q)
+    groups: list[list] = []  # nodes of one kind and arity, children in earlier groups
     for found in by_length:
+        products: dict[int, list] = {}  # arity -> this length's Products
+        sums: dict[int, list] = {}
+        made = []  # (interval, summands) of this length
         for p, q, vs in found:
             tails = [((), q)]  # (factors right of the open segment, its end r)
             for v in reversed(vs):
@@ -175,12 +181,16 @@ def _build(n: int, split) -> Expression:
                     summands.append(fs[0])
                 else:
                     summands.append(Product(fs))
-                    made.append(summands[-1])
-            made.append(Sum(tuple(summands)))
-            factors[p, q] = (made[-1],)
+                    products.setdefault(len(fs), []).append(summands[-1])
+            made.append(((p, q), summands))
+        for key, summands in made:
+            factors[key] = (Sum(tuple(summands)),)
+            sums.setdefault(len(summands), []).append(factors[key][0])
+        groups += products.values()
+        groups += sums.values()
     if n < 3:
         return factors[1, n][0] if n > 1 else UNIT
-    return _set_order(made.pop(), made)
+    return _hand_over(groups.pop()[0], groups)  # the last group is the root alone
 
 
 def decompose(n: int, strategy: Strategy | None = None) -> Expression:

@@ -13,9 +13,8 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from math import prod
-from operator import attrgetter, mod, mul
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, mod, mul, not_
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -105,6 +104,8 @@ class _Internal:
 
     _hash = None
     _children_first = None  # list, set by _order or a builder
+    _groups = None  # list of node lists, handed over by a builder until _plan runs
+    _slot_plan = None  # (labels, steps), set by _plan
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -217,15 +218,14 @@ def simplify(e: Expression) -> Expression:
     )
 
 
-def _memoized(e: Expression, leaf, combine_sum, combine_product, uses: Counter | None = None):
+def _memoized(e: Expression, leaf, combine_sum, combine_product):
     """Bottom-up fold over the DAG, memoized by node identity.
 
     Generated expressions share subtrees heavily (one node per interval), so
     identity memoization keeps metrics and rendering linear in the number of
     distinct nodes rather than the printed size.  The fold is one loop over
     _order(e) and then e, so each node's children are done before it and
-    nesting depth is unbounded.  With uses, the _parent_counts of e, a
-    node's result is dropped from the memo once its last parent has taken it.
+    nesting depth is unbounded.
     """
     if not isinstance(e, _Internal):
         return leaf(e)
@@ -233,14 +233,9 @@ def _memoized(e: Expression, leaf, combine_sum, combine_product, uses: Counter |
     for x in chain(_order(e), (e,)):
         done = []
         for c in x.children:
-            key = id(c)
-            r = memo.get(key)
+            r = memo.get(id(c))
             if r is None:  # a leaf: every internal child came earlier
-                r = memo[key] = leaf(c)
-            if uses is not None:
-                uses[key] -= 1
-                if not uses[key]:  # x was its last parent
-                    del memo[key]
+                r = memo[id(c)] = leaf(c)
             done.append(r)
         memo[id(x)] = (combine_sum if isinstance(x, Sum) else combine_product)(x, done)
     return memo[id(e)]
@@ -250,14 +245,14 @@ def _order(e: Expression) -> list:
     """The distinct Sum and Product nodes below e, each after its internal
     children; e itself is left out, so caching the list on e makes no cycle.
 
-    A builder hands the list over with _set_order as it makes the nodes in
+    A builder hands the list over with _hand_over as it makes the nodes in
     that order; any other root is walked once and keeps the list for later
     folds."""
     if not isinstance(e, _Internal):
         return []
     order = e._children_first
     if order is None:
-        _set_order(e, order := _walk(e))
+        object.__setattr__(e, "_children_first", order := _walk(e))
     return order
 
 
@@ -282,11 +277,14 @@ def _walk(e: _Internal, hashed: bool = False) -> list:
     return order
 
 
-def _set_order(e: Expression, order: list) -> Expression:
-    """e, holding `order` as its _order: the distinct internal nodes below it,
-    children first.  A leaf has no order to hold."""
+def _hand_over(e: Expression, groups: list) -> Expression:
+    """e, holding a builder's node groups: lists of the distinct internal
+    nodes below e, each list of one kind and arity, every internal child in
+    an earlier list.  Flattened, they are e's _order; _plan compiles them
+    and then drops them.  A leaf has nothing to hold."""
     if isinstance(e, _Internal):
-        object.__setattr__(e, "_children_first", order)
+        object.__setattr__(e, "_groups", groups)
+        object.__setattr__(e, "_children_first", list(chain.from_iterable(groups)))
     return e
 
 
@@ -382,10 +380,70 @@ def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
     return points
 
 
-def _parent_counts(e: Expression) -> Counter:
-    """Number of parent slots holding each node of e, keyed by node identity."""
-    internal = chain(_order(e), (e,) if isinstance(e, _Internal) else ())
-    return Counter(map(id, chain.from_iterable(map(attrgetter("children"), internal))))
+# A plan step combines at most _WIDE children per node; a wider node is
+# combined from steps over _WIDE-child blocks, so each residue is reduced
+# after at most _WIDE factors and no chain of maps nests deeper.
+_WIDE = 32
+
+
+def _depth_groups(e: _Internal) -> list:
+    """_order(e) grouped by (height, kind, arity), lowest height first, so
+    every node's internal children sit in earlier groups."""
+    height: dict[int, int] = {}
+    groups: dict[tuple, list] = {}
+    get, zeros = height.get, repeat(0)
+    for x in _order(e):
+        h = height[id(x)] = max(map(get, map(id, x.children), zeros), default=0) + 1
+        groups.setdefault((h, type(x) is Sum, len(x.children)), []).append(x)
+    return [groups[key] for key in sorted(groups)]
+
+
+def _plan(e: _Internal) -> tuple:
+    """e's slot plan (labels, steps), evaluate_mod's program over a list of
+    value slots, compiled from e's handed-over groups (or one depth pass)
+    on first use and cached on e, which then drops the groups.
+
+    Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
+    values of `labels`.  Each step (op, columns) then appends one value per
+    node of a group: the node's children are read from the slots in
+    column j at its position, combined with op (add or mul) and reduced.
+    The root is the last slot.  A plan holds labels and slot numbers only,
+    never a node, so caching it on the root makes no cycle."""
+    plan = e._slot_plan
+    if plan is not None:
+        return plan
+    groups = [*(e._groups or _depth_groups(e)), [e]]
+    kids = list(chain.from_iterable(map(attrgetter("children"), chain.from_iterable(groups))))
+    leaves = list(compress(kids, map(not_, map(isinstance, kids, repeat(_Internal)))))
+    terms = dict(zip(map(id, leaves), leaves))  # each distinct leaf once
+    terms.pop(id(ZERO), None)
+    terms.pop(id(UNIT), None)
+    slot = dict(zip(terms, count(2)))
+    slot[id(ZERO)], slot[id(UNIT)] = 0, 1
+    steps, top, at = [], len(terms) + 2, 0
+    for xs in groups:
+        width, op = len(xs[0].children), add if isinstance(xs[0], Sum) else mul
+        identity = 1 if op is mul else 0  # also the slot that holds it
+        flat = list(map(slot.__getitem__, map(id, kids[at:at + width * len(xs)])))
+        at += width * len(xs)
+        if not width:  # an unsimplified empty node: one child, the identity
+            flat, width = [identity] * len(xs), 1
+        while width > _WIDE:  # one step per _WIDE-child block of every node
+            if width % _WIDE:  # pad each node with identities to whole blocks
+                pad = [identity] * (-width % _WIDE)
+                flat = [*chain.from_iterable(flat[i:i + width] + pad
+                                             for i in range(0, len(flat), width))]
+                width += len(pad)
+            blocks = len(flat) // _WIDE
+            steps.append((op, [flat[j::_WIDE] for j in range(_WIDE)]))
+            flat, width, top = list(range(top, top + blocks)), width // _WIDE, top + blocks
+        steps.append((op, [flat[j::width] for j in range(width)]))
+        slot.update(zip(map(id, xs), range(top, top + len(xs))))
+        top += len(xs)
+    plan = list(map(attrgetter("label"), terms.values())), steps
+    object.__setattr__(e, "_slot_plan", plan)
+    object.__setattr__(e, "_groups", None)
+    return plan
 
 
 def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
@@ -393,49 +451,30 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
 
     v is one Assignment, giving an int, or a sequence of Assignments that
     share one prime, giving a list with one residue per point.  Either way
-    this is one _memoized fold, so each distinct node is visited once.  With
-    one point a node's value is an int; with more it is the list of its
-    residues at every point, dropped once its last parent has used it.
+    each point runs e's cached slot plan (_plan): its label values, then one
+    list extension per group of nodes, with every child read, combined and
+    reduced in C, so each distinct node costs a few map steps per point.
     """
     points = _as_batch(v)
     if not points:
         return []
-    p, k = points[0].prime, len(points)
-    moduli = repeat(p)
-
-    def leaf(x) -> list:
-        if x is UNIT:
-            return [1] * k
-        if x is ZERO:
-            return [0] * k
+    p = points[0].prime
+    # a leaf is planned as the one-child Sum over it, which has its value
+    labels, steps = _plan(e if isinstance(e, _Internal) else Sum((e,)))
+    out = []
+    for pt in points:
         try:
-            return [pt.values[x.label] % p for pt in points]
-        except KeyError:
-            raise UnassignedLabel(f"no value for label {x.label}") from None
-
-    if k == 1:  # each node's value is a plain int
-        def product_mod(x, done: list) -> int:
-            while len(done) > 32:  # keep the integer short
-                done = [prod(done[i:i + 32]) % p for i in range(0, len(done), 32)]
-            return prod(done) % p
-
-        r = _memoized(e, lambda x: leaf(x)[0], lambda x, done: sum(done) % p, product_mod)
-        return r if isinstance(v, Assignment) else [r]
-
-    def combine_sum(x, done: list) -> list:
-        if not done:  # an unsimplified empty Sum
-            return [0] * k
-        return list(map(mod, map(sum, zip(*done)), moduli))
-
-    def combine_product(x, done: list) -> list:
-        if not done:  # an unsimplified empty Product
-            return [1] * k
-        r = done[0]
-        for c in done[1:]:  # reduce after each factor, so residues stay below p^2
-            r = list(map(mod, map(mul, r, c), moduli))
-        return r
-
-    return _memoized(e, leaf, combine_sum, combine_product, _parent_counts(e))
+            vals = [0, 1, *map(mod, map(pt.values.__getitem__, labels), repeat(p))]
+        except KeyError as exc:
+            raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
+        get = vals.__getitem__
+        for op, columns in steps:
+            acc = map(get, columns[0])
+            for column in columns[1:]:
+                acc = map(op, acc, map(get, column))
+            vals += map(mod, acc, repeat(p))
+        out.append(vals[-1])
+    return out[0] if isinstance(v, Assignment) else out
 
 
 def labels_of(e: Expression) -> Counter:

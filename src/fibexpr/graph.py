@@ -22,7 +22,7 @@ from .expr import (
     SizeExceeded,
     UnassignedLabel,
     _as_batch,
-    _set_order,
+    _hand_over,
     _term_table,
     a,
     b,
@@ -95,14 +95,17 @@ def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> l
 def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
     their edge labels, labels in source-to-sink order.  The path products are
-    the nodes below the sum, so they are handed over as its _order."""
+    the nodes below the sum, so they are handed over grouped by arity."""
     _check_n(n, minimum=2)
     term = _term_table()
     summands = []
+    by_arity: dict[int, list] = {}
     for seq in path_vertex_sequences(n, max_paths):
         summands.append(product(term("a" if w == v + 1 else "b", v)
                                 for v, w in zip(seq, seq[1:])))
-    return _set_order(sumof(summands), [s for s in summands if isinstance(s, Product)])
+        if isinstance(summands[-1], Product):
+            by_arity.setdefault(len(seq) - 1, []).append(summands[-1])
+    return _hand_over(sumof(summands), list(by_arity.values()))
 
 
 def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):

@@ -81,7 +81,7 @@ def crit_recurrence_consistency():
 
 def crit_theorem1():
     report = verify_theorem1(63)
-    return report.ok, f"{report.checked} intervals, {len(report.violations)} violations"
+    return report.ok, f"{report.checked} intervals, {report.violation_count} violations"
 
 
 def crit_theorem2():

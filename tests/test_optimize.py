@@ -171,6 +171,36 @@ class TestAgainstPerNReference:
             assert (report.checked, report.violations) == reference[n_max]
             assert report.ok == (n_max < 5)
         assert {q - p + 1 for _, p, q, _, _ in verify_theorem1(30).violations} == {5, 12, 29}
+        assert verify_theorem1(90).violation_count == len(reference[90][1])
+
+    def test_theorem1_lists_the_first_violations_and_counts_all(self, monkeypatch):
+        bad_lengths = {5, 12, 29, 58, 87}
+
+        def wrong_middle(p, q):
+            want = middle_vertices(p, q)
+            return {v + 1 for v in want} if q - p + 1 in bad_lengths else want
+
+        monkeypatch.setattr(optimize, "middle_vertices", wrong_middle)
+        monkeypatch.setattr(optimize, "MAX_LISTED_VIOLATIONS", 100)
+        reference = reference_theorem1_reports(90)
+        for n_max in (4, 8, 30, 90):
+            report = verify_theorem1(n_max)
+            _, want = reference[n_max]
+            assert report.violations == want[:100]
+            assert report.violation_count == len(want)
+            assert report.ok == (not want)
+
+    def test_theorem1_on_a_table_wrong_at_every_length(self, monkeypatch):
+        """Every length fails, so every one of the C(20000, 3) intervals is a
+        violation: they are counted in closed form and only the first are
+        listed, in per-n order."""
+        monkeypatch.setattr(optimize, "middle_vertices", lambda p, q: {p})
+        report = verify_theorem1(20000)
+        assert report.violation_count == report.checked == math.comb(20000, 3)
+        assert not report.ok
+        assert len(report.violations) == optimize.MAX_LISTED_VIOLATIONS
+        _, want = reference_theorem1_reports(41)[41]
+        assert report.violations == want[:optimize.MAX_LISTED_VIOLATIONS]
 
     def test_special_values_reports(self):
         is_special = {n: reference_is_special(n) for n in range(7, 91)}

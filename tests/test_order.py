@@ -20,17 +20,19 @@ from fibexpr.decompose import (
 )
 from fibexpr.expr import (
     Assignment,
+    ExprError,
     Product,
     Sum,
     Term,
     UNIT,
+    UnassignedLabel,
     ZERO,
     _order,
-    _parent_counts,
     a,
     b,
     evaluate_mod,
     format_expression,
+    labels_of,
     metric_plus,
     metric_terms,
     parse,
@@ -131,6 +133,32 @@ class TestHandedOverOrder:
             checked += 1
         assert checked > 300
 
+    def test_builders_hand_over_groups(self):
+        checked = 0
+        for name, e in built_roots():
+            if not internal(e):
+                continue
+            groups = e._groups
+            assert groups is not None, f"{name} arrived without its groups"
+            assert e._children_first == [x for g in groups for x in g], \
+                f"{name}: the order is not the flattened groups"
+            group_of = {}
+            for k, group in enumerate(groups):
+                assert group, f"{name}: group {k} is empty"
+                assert len({(type(x), len(x.children)) for x in group}) == 1, \
+                    f"{name}: group {k} mixes kinds or arities"
+                for x in group:
+                    assert all(group_of[id(c)] < k for c in x.children if internal(c)), \
+                        f"{name}: a child is not in an earlier group"
+                    group_of[id(x)] = k
+            assert id(e) not in group_of, f"{name}: the root is listed"
+            object.__setattr__(e, "_children_first", None)
+            walked = _order(e)
+            assert len(group_of) == len(walked) == len({id(x) for x in walked}), name
+            assert set(group_of) == {id(x) for x in walked}, f"{name}: other nodes than the walk"
+            checked += 1
+        assert checked > 300
+
     def test_walk_lists_children_first(self):
         e = decompose(40)
         object.__setattr__(e, "_children_first", None)
@@ -144,7 +172,6 @@ class TestHandedOverOrder:
     def test_leaves_have_an_empty_order(self):
         for leaf in (UNIT, ZERO, Term(a(1)), decompose(2), decompose(1)):
             assert _order(leaf) == []
-            assert not _parent_counts(leaf)
 
 
 class TestNoCycle:
@@ -164,6 +191,7 @@ class TestNoCycle:
             evaluate_mod(e, point)
             evaluate_mod(e, [point, point])
             assert _order(e) is e._children_first
+            assert e._slot_plan is not None
             ref = weakref.ref(e)
             del e
             assert ref() is None
@@ -212,6 +240,84 @@ class TestUnbuiltRoots:
             value = value * pt.values[lab] % PRIME
         assert evaluate_mod(e, pt) == value
         assert evaluate_mod(e, [pt, pt]) == [value, value]
+
+
+def wide_products():
+    """A Sum of two 100-factor Products (one group, padded to whole blocks
+    of 32) and one of 1024 factors, which is narrowed twice."""
+    first = Product(tuple(Term(a(k)) for k in range(1, 101)))
+    second = Product(tuple(Term(b(k)) for k in range(1, 101)))
+    return Sum((first, second, Product(tuple(Term(a(1 + k % 300)) for k in range(1024)))))
+
+
+def plan_roots():
+    """(name, root) for every kind of root that evaluate_mod plans."""
+    built = decompose(40)
+    yield "decompose", built
+    yield "decompose_gd", decompose_gd(40, GdSpec(3))
+    yield "seeded", decompose(30, Seeded(4))
+    yield "canonical", canonical_expression(12)
+    yield "parsed", parse(format_expression(decompose_gd(30, GdSpec(4))))
+    yield "drop-summand", sumof(built.children[:-1])
+    yield "extra-factor", sumof(built.children[:-1] + (
+        Product(built.children[-1].children + (Term(a(1)),)),))
+    yield "empty-sum", Sum(())
+    yield "empty-product", Product(())
+    yield "arity-1", Sum((Product((Sum((Term(a(2)),)),)), Product(()), Sum(()), ZERO, UNIT))
+    yield "product-of-100", Product(tuple(Term(a(k)) for k in range(1, 101)))
+    yield "wide-products", wide_products()
+    yield "deep-chain", deep_chain(5000)
+    yield "leaf", Term(b(3))
+
+
+class TestSlotPlan:
+    @pytest.mark.parametrize("prime", [10007, 2**31 - 1, 1_000_000_007])
+    @pytest.mark.parametrize("case", range(14))
+    def test_matches_a_local_fold(self, case, prime):
+        name, e = list(plan_roots())[case]
+        labels = sorted(labels_of(e)) or [a(1)]
+        rng = random.Random(case)
+        # four distinct points in turn, so that the deep chain's local folds
+        # stay cheap while each point still differs from the one before
+        distinct = [Assignment.random(labels, prime, rng) for _ in range(4)]
+        values = [local_fold(e, pt.values, prime)[0] for pt in distinct]
+        pts = [distinct[k % 4] for k in range(31)]
+        want = [values[k % 4] for k in range(31)]
+        assert evaluate_mod(e, pts[0]) == want[0], name
+        assert evaluate_mod(e, pts[:1]) == want[:1], name
+        assert evaluate_mod(e, pts[:2]) == want[:2], name
+        assert evaluate_mod(e, pts) == want, name
+
+    def test_second_call_reuses_the_plan(self):
+        for name, e in built_roots():
+            if not internal(e):
+                continue
+            pts = [Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))] * 2
+            assert e._slot_plan is None and e._groups is not None, name
+            first = evaluate_mod(e, pts[0])
+            plan = e._slot_plan
+            assert plan is not None and e._groups is None, f"{name} kept its groups"
+            assert evaluate_mod(e, pts) == [first, first]
+            assert e._slot_plan is plan, name
+
+    def test_plan_holds_no_node(self):
+        e = decompose(60)
+        evaluate_mod(e, Assignment.random(edges(60), PRIME, random.Random(2)))
+        labels, steps = e._slot_plan
+        held = [*labels, *(op for op, _ in steps),
+                *(slot for _, columns in steps for column in columns for slot in column)]
+        assert not any(isinstance(x, (Sum, Product, Term)) for x in held)
+
+    def test_rejections(self):
+        e = decompose(8)
+        with pytest.raises(UnassignedLabel, match="no value for label b6"):
+            evaluate_mod(e, Assignment({lab: 1 for lab in edges(8) if lab != b(6)}, PRIME))
+        e = decompose(8)
+        pts = [Assignment.random(edges(8), PRIME, random.Random(3)),
+               Assignment.random(edges(8), 10009, random.Random(3))]
+        with pytest.raises(ExprError, match="share a prime"):
+            evaluate_mod(e, pts)
+        assert e._slot_plan is None  # a batch of mixed primes is refused before planning
 
 
 def test_hashing_node_by_node_stays_linear(monkeypatch):

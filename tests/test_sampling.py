@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import weakref
 from collections import Counter
 
 import pytest
@@ -18,8 +17,6 @@ from fibexpr.expr import (
     UNIT,
     UnassignedLabel,
     ZERO,
-    _memoized,
-    _parent_counts,
     a,
     b,
     evaluate_mod,
@@ -73,8 +70,8 @@ def deep_chain(depth, leaf=a(1)):
 
 
 def shared_twice():
-    """A DAG for the batch's freeing of residues: one parent holds the same
-    Sum twice, and a shared Sum's last parent comes after a deep subtree.
+    """A DAG where one parent holds the same Sum twice, and a shared Sum's
+    last parent comes after a deep subtree.
     `one` expands to the empty monomial alone, so no monomial repeats a label."""
     one = Sum((UNIT, ZERO))
     s = Sum((Term(a(11)), Term(b(11))))
@@ -147,23 +144,6 @@ class TestBatchedEvaluation:
             want.append(value)
         assert evaluate_mod(e, pts) == want
         assert evaluate_mod(e, pts[0]) == want[0]
-
-    def test_fold_with_uses_frees_each_value_after_its_last_parent(self):
-        class Value(list):  # a list that a WeakSet can hold, by identity
-            __eq__, __hash__ = object.__eq__, object.__hash__
-
-        live, most = weakref.WeakSet(), 0
-
-        def value(*_):
-            nonlocal most
-            v = Value()
-            live.add(v)
-            most = max(most, len(live))
-            return v
-
-        e = deep_chain(2000)
-        _memoized(e, value, value, value, _parent_counts(e))
-        assert most <= 8  # without freeing, every one of the 8,001 values stays
 
 
 def local_label_counts(e):
