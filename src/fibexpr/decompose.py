@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from typing import Mapping, Union
 
-from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, Product, SizeExceeded,
-                   Sum, UNIT, _hand_over, _term_table)
+from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, Term, UNIT,
+                   ZERO, _edge_labels, _hand_over, _make_group)
 from .graph import _check_n
 
 
@@ -104,6 +106,13 @@ class GdSpec:
     first_positions: tuple | None = None
 
 
+def _segment(x: int, r: int) -> tuple:
+    """The factors of E(p+x, p+r) as references (k, y) to slots: to slot
+    p+y (k = 0, a label), or to the slot of E(p+y, p+y+k).  The unit E(x, x)
+    is no factor, a_{p+x} is at slot p+x+1, and b_{p+v-1} is (0, n+v-1)."""
+    return () if r == x else ((0, x + 1),) if r == x + 1 else ((r - x, x),)
+
+
 def _build(n: int, split) -> Expression:
     """E(1, n) with each interval (p, q), q-p >= 2, split at the increasing
     vertices split(p, q) strictly inside it.
@@ -112,85 +121,106 @@ def _build(n: int, split) -> Expression:
     carrying the end r of the segment open on its left; bypassing v needs
     v < r, as E(v+1, v) = 0, so only surviving summands are made.  Keep goes
     before bypass, which gives the recursive GD form's order: the binary
-    counter over bypass subsets, first vertex lowest.  An interval of more
-    than DEFAULT_EXPANSION_BOUND summands, or a build of more than
-    _BUILD_SUMMAND_BOUND over all its intervals, is refused before any node
-    is made.
-    Intervals are found with an explicit stack and built shortest first, so
-    no depth limit applies.  Each interval maps to the tuple of its factors,
-    () for E(x, x) = 1, so joining tuples multiplies without units; no factor
-    is a Product and no summand a Sum, so nodes come out as product and sumof
-    would return them.  Each length makes all its Products, then all its
-    Sums, grouped by arity: a group's internal children are all in earlier
-    groups, so the groups are handed over with the root for _plan, and
-    flattened they are its _order.
+    counter over bypass subsets, first vertex lowest.
+
+    A summand's factors depend only on q-p and the split offsets v-p, so
+    intervals go in templates, one per (length, offsets), each holding the
+    starts p of its intervals.  Discovery goes longest length first, when a
+    length's intervals are all known, and checks each template, counts its
+    summands and finds its child intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
+    summands, or a build of more than _BUILD_SUMMAND_BOUND over all its
+    intervals, is refused there, before any summand is enumerated or any
+    node is made.  Construction goes shortest length first and runs the
+    keep/bypass pass once per template over slot references (see _segment):
+    each gives one column of slots over the template's starts.  Each length
+    makes all its Products, then all its Sums, grouped by arity, one node
+    per row of columns (_make_group), and the slot plan is made along with
+    the nodes and handed over with the root.
     """
-    term = _term_table()
-    factors: dict[tuple, tuple | None] = {(x, x): () for x in range(1, n + 1)}
-    factors.update(((x, x + 1), (term("a", x),)) for x in range(1, n))
-    bypass = {v: (term("b", v - 1),) for v in range(2, n)}
-    by_length: list[list] = [[] for _ in range(n)]  # (p, q, vertices) to build
-    made: list = []  # every Sum and Product, children first
+    labels = _edge_labels(n)
+    if n < 3:
+        return Term(labels[0]) if n == 2 else UNIT
+    starts: list = [set() for _ in range(n)]  # starts[k]: p of each E(p, p+k) found
+    starts[n - 1].add(1)
+    templates: list[list] = [[] for _ in range(n)]  # templates[k]: (offsets, starts)
     total = 0  # summands of the intervals found so far
-    todo = [(1, n)]
-    while todo:
-        key = todo.pop()
-        if key in factors:
-            continue
-        factors[key] = None  # found, built below
-        p, q = key
-        vs = tuple(split(p, q))
-        if not vs:
-            raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
-        by_length[q - p].append((p, q, vs))
-        u, kept, bypassed = p, 1, 0  # summands so far that keep or bypass u
-        for v in vs:
-            if not u < v < q:
-                raise InvalidVertexChoice(f"vertices {list(vs)} invalid for interval ({p},{q})")
-            todo += (u, v), (u, v - 1)
-            if p < u < v - 1:  # a segment starts at u+1 after bypassing u
-                todo += (u + 1, v), (u + 1, v - 1)
-            kept, bypassed = kept + bypassed, kept + bypassed if u + 1 < v else kept
-            u = v
-        if kept + bypassed > DEFAULT_EXPANSION_BOUND:
-            raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds bound "
-                               f"{DEFAULT_EXPANSION_BOUND}")
-        total += kept + bypassed
-        if total > _BUILD_SUMMAND_BOUND:
-            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
-                               f"{_BUILD_SUMMAND_BOUND}")
-        todo += (u, q), (u + 1, q)
-    groups: list[list] = []  # nodes of one kind and arity, children in earlier groups
-    for found in by_length:
-        products: dict[int, list] = {}  # arity -> this length's Products
-        sums: dict[int, list] = {}
-        made = []  # (interval, summands) of this length
-        for p, q, vs in found:
-            tails = [((), q)]  # (factors right of the open segment, its end r)
-            for v in reversed(vs):
+    for length in range(n - 1, 1, -1):
+        found: dict[tuple, list] = {}
+        for p in starts[length]:
+            found.setdefault(tuple(map(sub, split(p, p + length), repeat(p))), []).append(p)
+        starts[length] = None
+        for offsets, ps in found.items():
+            p, q = ps[0], ps[0] + length
+            if not offsets:
+                raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
+            segments = set()  # (x, r) of each E(p+x, p+r) a summand can hold
+            u, kept, bypassed = 0, 1, 0  # summands so far that keep or bypass u
+            for v in offsets:
+                if not u < v < length:
+                    raise InvalidVertexChoice(
+                        f"vertices {[p + o for o in offsets]} invalid for interval ({p},{q})")
+                segments.update(((u, v), (u, v - 1)))
+                if 0 < u < v - 1:  # a segment starts at u+1 after bypassing u
+                    segments.update(((u + 1, v), (u + 1, v - 1)))
+                kept, bypassed = kept + bypassed, kept + bypassed if u + 1 < v else kept
+                u = v
+            segments.update(((u, length), (u + 1, length)))
+            if kept + bypassed > DEFAULT_EXPANSION_BOUND:
+                raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds "
+                                   f"bound {DEFAULT_EXPANSION_BOUND}")
+            total += (kept + bypassed) * len(ps)
+            if total > _BUILD_SUMMAND_BOUND:
+                raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
+                                   f"{_BUILD_SUMMAND_BOUND}")
+            for x, r in segments:
+                if r - x > 1:
+                    starts[r - x].update(map(add, ps, repeat(x)))
+            templates[length].append((offsets, ps))
+    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: a_x at x+1, b_x at n+x
+    steps: list = []
+    slot_of: list = [None] * n  # slot_of[k]: {p: slot of E(p, p+k)}
+    for length in range(2, n):
+        products: dict[int, list] = {}  # arity -> columns of each template's summand
+        sums: dict[int, list] = {}  # arity -> (summand columns, starts) of each template
+        for offsets, ps in templates[length]:
+            tails = [((), length)]  # (factors right of the open segment, its end r)
+            for v in reversed(offsets):
+                bypass = ((0, n + v - 1),)  # b_{p+v-1}
                 grown = []
                 for fs, r in tails:
-                    grown.append((factors[v, r] + fs, v))
+                    grown.append((_segment(v, r) + fs, v))
                     if v < r:  # E(v+1, r) is not the zero E(v+1, v)
-                        grown.append((bypass[v] + factors[v + 1, r] + fs, v - 1))
+                        grown.append((bypass + _segment(v + 1, r) + fs, v - 1))
                 tails = grown
-            summands = []
-            for fs, r in tails:
-                fs = factors[p, r] + fs
+            tails = [_segment(0, r) + fs for fs, r in tails]
+            columns: dict[tuple, list] = {}  # reference -> its slots over ps
+            for k, x in set(chain.from_iterable(tails)):
+                shifted = map(add, ps, repeat(x))
+                columns[k, x] = [*map(slot_of[k].__getitem__, shifted)] if k else [*shifted]
+            summands = []  # a column of slots, or (arity, index) of a product column
+            for fs in tails:
                 if len(fs) == 1:
-                    summands.append(fs[0])
+                    summands.append(columns[fs[0]])
                 else:
-                    summands.append(Product(fs))
-                    products.setdefault(len(fs), []).append(summands[-1])
-            made.append(((p, q), summands))
-        for key, summands in made:
-            factors[key] = (Sum(tuple(summands)),)
-            sums.setdefault(len(summands), []).append(factors[key][0])
-        groups += products.values()
-        groups += sums.values()
-    if n < 3:
-        return factors[1, n][0] if n > 1 else UNIT
-    return _hand_over(groups.pop()[0], groups)  # the last group is the root alone
+                    group = products.setdefault(len(fs), [])
+                    summands.append((len(fs), len(group)))
+                    group.append([*map(columns.__getitem__, fs)])
+            sums.setdefault(len(summands), []).append((summands, ps))
+        placed = {}  # arity -> the slots of each product column, in order
+        for arity, group in products.items():
+            _make_group(made, steps, mul, [[*chain.from_iterable(c)] for c in zip(*group)])
+            rows = [len(c[0]) for c in group]
+            ends = [*accumulate(rows, initial=len(made) - sum(rows))]
+            placed[arity] = [*map(range, ends, ends[1:])]
+        slot_of[length] = at = {}
+        for group in sums.values():
+            group_columns = [[s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
+                             for summands, ps in group]
+            _make_group(made, steps, add,
+                        [[*chain.from_iterable(c)] for c in zip(*group_columns)])
+            ps = [*chain.from_iterable(ps for summands, ps in group)]
+            at.update(zip(ps, range(len(made) - len(ps), len(made))))
+    return _hand_over(made, labels, steps)
 
 
 def decompose(n: int, strategy: Strategy | None = None) -> Expression:

@@ -13,6 +13,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, mod, mul, not_
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -76,6 +77,13 @@ def b(index: int) -> Label:
     return Label("b", index)
 
 
+def _edge_labels(n: int) -> list[Label]:
+    """a1..a_{n-1} then b1..b_{n-2}, the edge labels of the n-vertex graph.
+    Every one of them passes Label's checks, so they are made without them."""
+    make = partial(tuple.__new__, Label)
+    return [*map(make, zip(repeat("a"), range(1, n))), *map(make, zip(repeat("b"), range(1, n - 1)))]
+
+
 @dataclass(frozen=True)
 class _Sentinel:
     symbol: str
@@ -104,8 +112,7 @@ class _Internal:
 
     _hash = None
     _children_first = None  # list, set by _order or a builder
-    _groups = None  # list of node lists, handed over by a builder until _plan runs
-    _slot_plan = None  # (labels, steps), set by _plan
+    _slot_plan = None  # (labels, steps), set by _plan or a builder
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -159,7 +166,7 @@ MonomialSet = frozenset  # of Monomial
 
 def _term_table():
     """A Term constructor, term(kind, index), that hands out one shared Term
-    per label for as long as the returned function lives.  Builders keep one
+    per label for as long as the returned function lives.  parse keeps one
     per call, so equal leaves are one node and folds visit each label once."""
     terms: dict[tuple, Term] = {}
 
@@ -277,14 +284,15 @@ def _walk(e: _Internal, hashed: bool = False) -> list:
     return order
 
 
-def _hand_over(e: Expression, groups: list) -> Expression:
-    """e, holding a builder's node groups: lists of the distinct internal
-    nodes below e, each list of one kind and arity, every internal child in
-    an earlier list.  Flattened, they are e's _order; _plan compiles them
-    and then drops them.  A leaf has nothing to hold."""
-    if isinstance(e, _Internal):
-        object.__setattr__(e, "_groups", groups)
-        object.__setattr__(e, "_children_first", list(chain.from_iterable(groups)))
+def _hand_over(made: list, labels: list, steps: list) -> _Internal:
+    """The root of a build, holding its children-first node order (see
+    _order) and its slot plan (labels, steps) (see _plan), both made along
+    with the nodes.  made lists the build's nodes by slot (see _make_group),
+    the root last."""
+    order = [*filter(None, made[len(labels) + 2:])]
+    e = order.pop()
+    object.__setattr__(e, "_children_first", order)
+    object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
 
 
@@ -386,6 +394,35 @@ def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
 _WIDE = 32
 
 
+def _add_steps(steps: list, op, columns: list, top: int) -> int:
+    """Append to steps the plan steps that combine, with op, one node per
+    row of columns (column j holding every node's j-th child slot), when
+    the next free slot is top; returns the free slot after them.  The nodes'
+    values take the last len(columns[0]) slots before it."""
+    identity = 1 if op is mul else 0  # also the slot that holds it
+    rows = len(columns[0])
+    while len(columns) > _WIDE:  # one step over every node's _WIDE-child blocks
+        columns = columns + [[identity] * rows] * (-len(columns) % _WIDE)  # whole blocks
+        blocks = len(columns) // _WIDE
+        steps.append((op, [[*chain.from_iterable(columns[j::_WIDE])] for j in range(_WIDE)]))
+        columns = [range(top + k * rows, top + (k + 1) * rows) for k in range(blocks)]
+        top += blocks * rows
+    steps.append((op, columns))
+    return top + rows
+
+
+def _make_group(made: list, steps: list, op, columns: list) -> None:
+    """A builder's group of nodes of one kind and arity: one Sum (op add) or
+    Product (op mul) per row of columns, over the nodes at the slots in that
+    row.  made lists a build's nodes by slot, None for a slot that holds a
+    block of a wide node; the new nodes take the slots their plan steps,
+    appended to steps, fill."""
+    top = _add_steps(steps, op, columns, len(made))
+    nodes = [*map(Sum if op is add else Product, zip(*[map(made.__getitem__, c) for c in columns]))]
+    made += repeat(None, top - len(nodes) - len(made))
+    made += nodes
+
+
 def _depth_groups(e: _Internal) -> list:
     """_order(e) grouped by (height, kind, arity), lowest height first, so
     every node's internal children sit in earlier groups."""
@@ -400,8 +437,8 @@ def _depth_groups(e: _Internal) -> list:
 
 def _plan(e: _Internal) -> tuple:
     """e's slot plan (labels, steps), evaluate_mod's program over a list of
-    value slots, compiled from e's handed-over groups (or one depth pass)
-    on first use and cached on e, which then drops the groups.
+    value slots.  A builder hands it over with its root; any other root is
+    grouped by height in one pass, compiled on first use and cached.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns) then appends one value per
@@ -412,7 +449,7 @@ def _plan(e: _Internal) -> tuple:
     plan = e._slot_plan
     if plan is not None:
         return plan
-    groups = [*(e._groups or _depth_groups(e)), [e]]
+    groups = [*_depth_groups(e), [e]]
     kids = list(chain.from_iterable(map(attrgetter("children"), chain.from_iterable(groups))))
     leaves = list(compress(kids, map(not_, map(isinstance, kids, repeat(_Internal)))))
     terms = dict(zip(map(id, leaves), leaves))  # each distinct leaf once
@@ -423,26 +460,14 @@ def _plan(e: _Internal) -> tuple:
     steps, top, at = [], len(terms) + 2, 0
     for xs in groups:
         width, op = len(xs[0].children), add if isinstance(xs[0], Sum) else mul
-        identity = 1 if op is mul else 0  # also the slot that holds it
         flat = list(map(slot.__getitem__, map(id, kids[at:at + width * len(xs)])))
         at += width * len(xs)
-        if not width:  # an unsimplified empty node: one child, the identity
-            flat, width = [identity] * len(xs), 1
-        while width > _WIDE:  # one step per _WIDE-child block of every node
-            if width % _WIDE:  # pad each node with identities to whole blocks
-                pad = [identity] * (-width % _WIDE)
-                flat = [*chain.from_iterable(flat[i:i + width] + pad
-                                             for i in range(0, len(flat), width))]
-                width += len(pad)
-            blocks = len(flat) // _WIDE
-            steps.append((op, [flat[j::_WIDE] for j in range(_WIDE)]))
-            flat, width, top = list(range(top, top + blocks)), width // _WIDE, top + blocks
-        steps.append((op, [flat[j::width] for j in range(width)]))
-        slot.update(zip(map(id, xs), range(top, top + len(xs))))
-        top += len(xs)
+        # an unsimplified empty node has one child, the identity
+        columns = [flat[j::width] for j in range(width)] or [[int(op is mul)] * len(xs)]
+        top = _add_steps(steps, op, columns, top)
+        slot.update(zip(map(id, xs), range(top - len(xs), top)))
     plan = list(map(attrgetter("label"), terms.values())), steps
     object.__setattr__(e, "_slot_plan", plan)
-    object.__setattr__(e, "_groups", None)
     return plan
 
 

@@ -9,6 +9,7 @@ graphs are passed around as a bare integer.
 from __future__ import annotations
 
 import random
+from operator import add, mul
 from typing import Sequence
 
 from .expr import (
@@ -18,18 +19,19 @@ from .expr import (
     Expression,
     ExprError,
     Label,
-    Product,
     SizeExceeded,
+    Term,
+    UNIT,
     UnassignedLabel,
+    ZERO,
     _as_batch,
+    _edge_labels,
     _hand_over,
-    _term_table,
+    _make_group,
     a,
     b,
     evaluate_mod,
     expand,
-    product,
-    sumof,
 )
 
 
@@ -49,7 +51,7 @@ def _check_n(n: int, minimum: int = 1):
 def edges(n: int) -> list[Label]:
     """All edge labels of the n-vertex graph: a1..a_{n-1} then b1..b_{n-2}."""
     _check_n(n)
-    return [a(v) for v in range(1, n)] + [b(v) for v in range(1, n - 1)]
+    return _edge_labels(n)
 
 
 def path_count(n: int) -> int:
@@ -94,18 +96,30 @@ def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> l
 
 def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
-    their edge labels, labels in source-to-sink order.  The path products are
-    the nodes below the sum, so they are handed over grouped by arity."""
+    their edge labels, labels in source-to-sink order.  The path products
+    are made by arity, one node per row of label slots, and the slot plan is
+    handed over with the root (see decompose._build)."""
     _check_n(n, minimum=2)
-    term = _term_table()
-    summands = []
+    labels = _edge_labels(n)
+    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: a_v at v+1, b_v at n+v
+    slot = {(v, v + 1): v + 1 for v in range(1, n)}
+    slot.update({(v, v + 2): n + v for v in range(1, n - 1)})
+    paths = [[*map(slot.__getitem__, zip(seq, seq[1:]))]
+             for seq in path_vertex_sequences(n, max_paths)]
+    if n == 2:
+        return made[paths[0][0]]  # one path of one edge
     by_arity: dict[int, list] = {}
-    for seq in path_vertex_sequences(n, max_paths):
-        summands.append(product(term("a" if w == v + 1 else "b", v)
-                                for v, w in zip(seq, seq[1:])))
-        if isinstance(summands[-1], Product):
-            by_arity.setdefault(len(seq) - 1, []).append(summands[-1])
-    return _hand_over(sumof(summands), list(by_arity.values()))
+    for k, path in enumerate(paths):
+        if len(path) > 1:
+            by_arity.setdefault(len(path), []).append(k)
+    summands = [path[0] for path in paths]  # slot of each path's summand
+    steps: list = []
+    for ks in by_arity.values():
+        _make_group(made, steps, mul, [*zip(*map(paths.__getitem__, ks))])
+        for k, at in zip(ks, range(len(made) - len(ks), len(made))):
+            summands[k] = at
+    _make_group(made, steps, add, [*zip(summands)])
+    return _hand_over(made, labels, steps)
 
 
 def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
@@ -116,8 +130,8 @@ def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
     Assignments sharing one prime (giving one residue per point)."""
     _check_n(n)
     points = _as_batch(v)
-    a_labels = [a(k) for k in range(1, n)]
-    b_labels = [b(k) for k in range(1, n - 1)]
+    labels = _edge_labels(n)
+    a_labels, b_labels = labels[:n - 1], labels[n - 1:]
     out = []
     for pt in points:
         p, values = pt.prime, pt.values

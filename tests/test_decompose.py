@@ -2,8 +2,10 @@
 
 import importlib
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibexpr.decompose import (
     FixedMap,
@@ -215,6 +217,18 @@ class TestDecomposeGd:
             assert summands(build()) == total
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("n, m", [(40, 40), (1024, 20)])
+    def test_refusal_comes_before_any_enumeration(self, n, m):
+        # one interval of F(39) summands, and 41 M summands over the build
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceeded):
+                decompose_gd(n, GdSpec(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_refused_with_the_canonical_path_set(self):
         # F(31) summands and F(31) paths, both past the default bound
         with pytest.raises(SizeExceeded):
@@ -310,6 +324,32 @@ def test_binary_builder_matches_recursive_reference(strategy):
     for n in range(1, 41):
         assert (outcome(decompose, n, strategy)
                 == outcome(reference_decompose, n, strategy)), n
+
+
+@st.composite
+def fixed_maps(draw):
+    """(n, FixedMap) with a vertex for about half the intervals (p, q),
+    q-p >= 2, of the n-vertex graph, drawn from a seed.  With bad > 0, about
+    one interval in bad gets one of its ends instead, which is invalid."""
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bad = draw(st.sampled_from([0, 0, 40, 400]))
+    mapping = {}
+    for p in range(1, n - 1):
+        for q in range(p + 2, n + 1):
+            if bad and rng.randrange(bad) == 0:
+                mapping[p, q] = rng.choice((p, q))
+            elif rng.random() < 0.5:
+                mapping[p, q] = rng.randrange(p + 1, q)
+    fallback = draw(st.sampled_from([MiddleLow(), MiddleHigh(), Leftmost(), Seeded(5)]))
+    return n, FixedMap(mapping, fallback)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_maps())
+def test_random_fixed_maps_match_recursive_reference(case):
+    n, strategy = case
+    assert outcome(decompose, n, strategy) == outcome(reference_decompose, n, strategy)
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -16,6 +16,7 @@ from fibexpr.expr import (
     UNIT,
     UnassignedLabel,
     ZERO,
+    _edge_labels,
     a,
     b,
     evaluate_mod,
@@ -29,6 +30,7 @@ from fibexpr.expr import (
     sp_parallel,
     sp_series,
 )
+from fibexpr.graph import edges
 from fibexpr.optimize import IntervalTable, build_expression
 
 
@@ -49,6 +51,17 @@ class TestLabel:
 
     def test_ordering_is_kind_then_index(self):
         assert sorted([b(1), a(2), a(1)]) == [a(1), a(2), b(1)]
+
+    def test_unchecked_edge_labels_equal_checked_ones(self):
+        for n in range(1, 40):
+            made = _edge_labels(n)
+            assert made == [Label("a", i) for i in range(1, n)] + [Label("b", i)
+                                                                   for i in range(1, n - 1)]
+            assert all(type(lab) is Label for lab in made)
+            assert [str(lab) for lab in made] == [str(lab) for lab in edges(n)]
+        for kind, index in (("c", 1), ("a", 0)):
+            with pytest.raises(ExprError):
+                Label(kind, index)
 
 
 @pytest.mark.parametrize("reject", [

@@ -4,6 +4,7 @@ the builders, walked once and cached for any other root."""
 import gc
 import random
 import weakref
+from operator import add, mul
 
 import pytest
 
@@ -133,29 +134,33 @@ class TestHandedOverOrder:
             checked += 1
         assert checked > 300
 
-    def test_builders_hand_over_groups(self):
+    def test_builders_hand_over_the_plan(self):
         checked = 0
         for name, e in built_roots():
             if not internal(e):
                 continue
-            groups = e._groups
-            assert groups is not None, f"{name} arrived without its groups"
-            assert e._children_first == [x for g in groups for x in g], \
-                f"{name}: the order is not the flattened groups"
-            group_of = {}
-            for k, group in enumerate(groups):
-                assert group, f"{name}: group {k} is empty"
-                assert len({(type(x), len(x.children)) for x in group}) == 1, \
-                    f"{name}: group {k} mixes kinds or arities"
-                for x in group:
-                    assert all(group_of[id(c)] < k for c in x.children if internal(c)), \
-                        f"{name}: a child is not in an earlier group"
-                    group_of[id(x)] = k
-            assert id(e) not in group_of, f"{name}: the root is listed"
-            object.__setattr__(e, "_children_first", None)
-            walked = _order(e)
-            assert len(group_of) == len(walked) == len({id(x) for x in walked}), name
-            assert set(group_of) == {id(x) for x in walked}, f"{name}: other nodes than the walk"
+            plan = e._slot_plan
+            assert plan is not None, f"{name} arrived without its plan"
+            labels, steps = plan
+            assert sorted(labels) == sorted(labels_of(e)), f"{name}: other labels than the tree's"
+            filled = 2 + len(labels)
+            for op, columns in steps:
+                assert op in (add, mul) and 1 <= len(columns) <= 32, name
+                rows = {len(column) for column in columns}
+                assert len(rows) == 1, f"{name}: columns of unequal length"
+                assert all(0 <= s < filled for column in columns for s in column), \
+                    f"{name}: a step reads a slot before it is filled"
+                filled += rows.pop()
+            assert filled - 2 - len(labels) >= len(e._children_first) + 1, \
+                f"{name}: fewer slots than nodes"
+            done = set()
+            for x in e._children_first:
+                assert id(x) not in done, f"{name}: a node is listed twice"
+                assert all(id(c) in done for c in x.children if internal(c)), \
+                    f"{name}: a node comes before its child"
+                done.add(id(x))
+            assert all(id(c) in done for c in e.children if internal(c)), name
+            assert id(e) not in done, f"{name}: the root is listed"
             checked += 1
         assert checked > 300
 
@@ -289,16 +294,39 @@ class TestSlotPlan:
         assert evaluate_mod(e, pts) == want, name
 
     def test_second_call_reuses_the_plan(self):
-        for name, e in built_roots():
+        parsed = [(f"parse(decompose({n}, Seeded({n})))",
+                   parse(format_expression(decompose(n, Seeded(n))))) for n in (8, 30)]
+        for name, e in [*built_roots(), *parsed]:
             if not internal(e):
                 continue
             pts = [Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))] * 2
-            assert e._slot_plan is None and e._groups is not None, name
+            handed = e._slot_plan
+            assert (handed is None) == name.startswith("parse"), name
             first = evaluate_mod(e, pts[0])
             plan = e._slot_plan
-            assert plan is not None and e._groups is None, f"{name} kept its groups"
+            assert plan is not None and (handed is None or plan is handed), name
             assert evaluate_mod(e, pts) == [first, first]
             assert e._slot_plan is plan, name
+
+    def test_handed_over_plan_evaluates_like_a_compiled_one(self, monkeypatch):
+        def no_depth_pass(e):
+            raise AssertionError("a builder root was grouped by height")
+
+        for index, (name, e) in enumerate(built_roots()):
+            if not internal(e):
+                continue
+            labels = sorted(labels_of(e))
+            rng = random.Random(index)
+            distinct = [Assignment.random(labels, PRIME, rng) for _ in range(4)]
+            values = [local_fold(e, pt.values)[0] for pt in distinct]
+            pts = [distinct[k % 4] for k in range(31)]
+            want = [values[k % 4] for k in range(31)]
+            with monkeypatch.context() as patch:
+                patch.setattr(fibexpr.expr, "_depth_groups", no_depth_pass)
+                handed = [evaluate_mod(e, pts[:k]) for k in (1, 2, 31)]
+            object.__setattr__(e, "_slot_plan", None)
+            compiled = [evaluate_mod(e, pts[:k]) for k in (1, 2, 31)]
+            assert handed == compiled == [want[:1], want[:2], want], name
 
     def test_plan_holds_no_node(self):
         e = decompose(60)
@@ -312,7 +340,7 @@ class TestSlotPlan:
         e = decompose(8)
         with pytest.raises(UnassignedLabel, match="no value for label b6"):
             evaluate_mod(e, Assignment({lab: 1 for lab in edges(8) if lab != b(6)}, PRIME))
-        e = decompose(8)
+        e = parse(format_expression(decompose(8)))
         pts = [Assignment.random(edges(8), PRIME, random.Random(3)),
                Assignment.random(edges(8), 10009, random.Random(3))]
         with pytest.raises(ExprError, match="share a prime"):
