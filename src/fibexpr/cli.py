@@ -175,11 +175,12 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
     else:
         e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
     if mode == "expand":
-        detail = f"{path_count(n)} monomials"
         try:
-            ok = equivalent_by_expansion(e, n)
+            ok, failure = equivalent_by_expansion(e, n), ""
         except DuplicateMonomial as exc:  # a coefficient above one
-            ok, detail = False, f"{detail}; {exc}"
+            ok, failure = False, f"; {exc}"
+        # the paths were enumerated by now, so their count is within the bound
+        detail = f"{path_count(n)} monomials{failure}"
     else:
         ok = equivalent_by_sampling(e, n, trials=trials, prime=prime, seed=0)
         detail = f"{trials} modular trials"

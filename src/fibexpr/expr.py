@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, mod, mul, not_
@@ -111,7 +111,6 @@ class _Internal:
     """
 
     _hash = None
-    _children_first = None  # list, set by _order or a builder
     _slot_plan = None  # (labels, steps), set by _plan or a builder
 
     def __hash__(self) -> int:
@@ -164,21 +163,6 @@ Monomial = frozenset  # of Label
 MonomialSet = frozenset  # of Monomial
 
 
-def _term_table():
-    """A Term constructor, term(kind, index), that hands out one shared Term
-    per label for as long as the returned function lives.  parse keeps one
-    per call, so equal leaves are one node and folds visit each label once."""
-    terms: dict[tuple, Term] = {}
-
-    def term(kind: str, index: int) -> Term:
-        t = terms.get((kind, index))
-        if t is None:
-            t = terms[kind, index] = Term(Label(kind, index))
-        return t
-
-    return term
-
-
 def product(parts: Iterable[Expression]) -> Expression:
     """Simplifying product constructor: flattens, absorbs UNIT, annihilates on ZERO."""
     flat: list[Expression] = []
@@ -215,157 +199,6 @@ def sumof(parts: Iterable[Expression]) -> Expression:
     return Sum(tuple(flat))
 
 
-def simplify(e: Expression) -> Expression:
-    """Rebuild e in simplified form; expansion is unchanged."""
-    return _memoized(
-        e,
-        leaf=lambda x: x,
-        combine_sum=lambda x, cs: sumof(cs),
-        combine_product=lambda x, cs: product(cs),
-    )
-
-
-def _memoized(e: Expression, leaf, combine_sum, combine_product):
-    """Bottom-up fold over the DAG, memoized by node identity.
-
-    Generated expressions share subtrees heavily (one node per interval), so
-    identity memoization keeps metrics and rendering linear in the number of
-    distinct nodes rather than the printed size.  The fold is one loop over
-    _order(e) and then e, so each node's children are done before it and
-    nesting depth is unbounded.
-    """
-    if not isinstance(e, _Internal):
-        return leaf(e)
-    memo: dict[int, object] = {}
-    for x in chain(_order(e), (e,)):
-        done = []
-        for c in x.children:
-            r = memo.get(id(c))
-            if r is None:  # a leaf: every internal child came earlier
-                r = memo[id(c)] = leaf(c)
-            done.append(r)
-        memo[id(x)] = (combine_sum if isinstance(x, Sum) else combine_product)(x, done)
-    return memo[id(e)]
-
-
-def _order(e: Expression) -> list:
-    """The distinct Sum and Product nodes below e, each after its internal
-    children; e itself is left out, so caching the list on e makes no cycle.
-
-    A builder hands the list over with _hand_over as it makes the nodes in
-    that order; any other root is walked once and keeps the list for later
-    folds."""
-    if not isinstance(e, _Internal):
-        return []
-    order = e._children_first
-    if order is None:
-        object.__setattr__(e, "_children_first", order := _walk(e))
-    return order
-
-
-def _walk(e: _Internal, hashed: bool = False) -> list:
-    """_order(e), walked with an explicit stack.  With hashed, a node whose
-    hash is cached is left out with everything below it, so hashing nodes
-    one at a time stays linear in all of them."""
-    order, seen = [], {id(e)}
-    stack = [(e, iter(e.children))]
-    while stack:
-        x, todo = stack[-1]
-        for c in todo:
-            if isinstance(c, _Internal) and id(c) not in seen:
-                seen.add(id(c))
-                if hashed and c._hash is not None:
-                    continue
-                stack.append((c, iter(c.children)))
-                break
-        else:
-            order.append(stack.pop()[0])
-    order.pop()  # e
-    return order
-
-
-def _hand_over(made: list, labels: list, steps: list) -> _Internal:
-    """The root of a build, holding its children-first node order (see
-    _order) and its slot plan (labels, steps) (see _plan), both made along
-    with the nodes.  made lists the build's nodes by slot (see _make_group),
-    the root last."""
-    order = [*filter(None, made[len(labels) + 2:])]
-    e = order.pop()
-    object.__setattr__(e, "_children_first", order)
-    object.__setattr__(e, "_slot_plan", (labels, steps))
-    return e
-
-
-def metric_terms(e: Expression) -> int:
-    """First complexity characteristic: term occurrences, counted with multiplicity."""
-    return _memoized(
-        e,
-        leaf=lambda x: 1 if isinstance(x, Term) else 0,
-        combine_sum=lambda x, cs: sum(cs),
-        combine_product=lambda x, cs: sum(cs),
-    )
-
-
-def metric_plus(e: Expression) -> int:
-    """Second complexity characteristic: number of plus operators."""
-    return _memoized(
-        e,
-        leaf=lambda x: 0,
-        combine_sum=lambda x, cs: sum(cs) + len(cs) - 1,
-        combine_product=lambda x, cs: sum(cs),
-    )
-
-
-def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> MonomialSet:
-    """Distributive expansion of e as a set of monomials (label sets).
-
-    Raises DuplicateMonomial if any monomial arises twice: a well-formed
-    factoring of a path polynomial has all coefficients equal to one.
-    """
-
-    def leaf(x) -> frozenset:
-        if x is ZERO:
-            return frozenset()
-        if x is UNIT:
-            return frozenset([frozenset()])
-        return frozenset([frozenset([x.label])])
-
-    def combine_sum(x, csets) -> frozenset:
-        out: set = set()
-        for cset in csets:
-            if out & cset:
-                raise DuplicateMonomial(
-                    f"monomial appears in two summands: {sorted(map(str, next(iter(out & cset))))}"
-                )
-            out |= cset
-            if len(out) > max_monomials:
-                raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-        return frozenset(out)
-
-    def combine_product(x, csets) -> frozenset:
-        acc: set = {frozenset()}
-        for cset in csets:
-            nxt: set = set()
-            for m1 in acc:
-                for m2 in cset:
-                    u = m1 | m2
-                    if len(u) != len(m1) + len(m2):
-                        raise DuplicateMonomial(
-                            f"label repeated within a monomial: {sorted(map(str, m1 & m2))}"
-                        )
-                    if u in nxt:
-                        raise DuplicateMonomial(
-                            f"monomial produced twice in a product: {sorted(map(str, u))}"
-                        )
-                    nxt.add(u)
-                    if len(nxt) > max_monomials:
-                        raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-            acc = nxt
-        return frozenset(acc)
-
-    return _memoized(e, leaf, combine_sum, combine_product)
-
-
 @dataclass
 class Assignment:
     """Label values in the field of integers modulo a prime."""
@@ -388,9 +221,32 @@ def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
     return points
 
 
+def _walk(e: _Internal, hashed: bool = False) -> list:
+    """The distinct Sum and Product nodes below e, each after its internal
+    children, walked with an explicit stack; e itself is left out.  With
+    hashed, a node whose hash is cached is left out with everything below
+    it, so hashing nodes one at a time stays linear in all of them."""
+    order, seen = [], {id(e)}
+    stack = [(e, iter(e.children))]
+    while stack:
+        x, todo = stack[-1]
+        for c in todo:
+            if isinstance(c, _Internal) and id(c) not in seen:
+                seen.add(id(c))
+                if hashed and c._hash is not None:
+                    continue
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            order.append(stack.pop()[0])
+    order.pop()  # e
+    return order
+
+
 # A plan step combines at most _WIDE children per node; a wider node is
-# combined from steps over _WIDE-child blocks, so each residue is reduced
-# after at most _WIDE factors and no chain of maps nests deeper.
+# combined from steps over its consecutive chunks of at most _WIDE children,
+# so each residue is reduced after at most _WIDE factors and no chain of maps
+# nests deeper.
 _WIDE = 32
 
 
@@ -399,14 +255,16 @@ def _add_steps(steps: list, op, columns: list, top: int) -> int:
     row of columns (column j holding every node's j-th child slot), when
     the next free slot is top; returns the free slot after them.  The nodes'
     values take the last len(columns[0]) slots before it."""
-    identity = 1 if op is mul else 0  # also the slot that holds it
     rows = len(columns[0])
-    while len(columns) > _WIDE:  # one step over every node's _WIDE-child blocks
-        columns = columns + [[identity] * rows] * (-len(columns) % _WIDE)  # whole blocks
-        blocks = len(columns) // _WIDE
-        steps.append((op, [[*chain.from_iterable(columns[j::_WIDE])] for j in range(_WIDE)]))
-        columns = [range(top + k * rows, top + (k + 1) * rows) for k in range(blocks)]
-        top += blocks * rows
+    while len(columns) > _WIDE:  # first each node's chunks, then their results
+        whole, rest = divmod(len(columns), _WIDE)
+        chunks = [columns[k:k + _WIDE] for k in range(0, whole * _WIDE, _WIDE)]
+        steps.append((op, [[*chain.from_iterable(c)] for c in zip(*chunks)]))
+        if rest > 1:
+            steps.append((op, columns[-rest:]))
+        partials = [range(top + k * rows, top + (k + 1) * rows) for k in range(whole + (rest > 1))]
+        top += len(partials) * rows
+        columns = partials + (columns[-1:] if rest == 1 else [])  # a one-child chunk as is
     steps.append((op, columns))
     return top + rows
 
@@ -415,7 +273,7 @@ def _make_group(made: list, steps: list, op, columns: list) -> None:
     """A builder's group of nodes of one kind and arity: one Sum (op add) or
     Product (op mul) per row of columns, over the nodes at the slots in that
     row.  made lists a build's nodes by slot, None for a slot that holds a
-    block of a wide node; the new nodes take the slots their plan steps,
+    chunk of a wide node; the new nodes take the slots their plan steps,
     appended to steps, fill."""
     top = _add_steps(steps, op, columns, len(made))
     nodes = [*map(Sum if op is add else Product, zip(*[map(made.__getitem__, c) for c in columns]))]
@@ -423,29 +281,39 @@ def _make_group(made: list, steps: list, op, columns: list) -> None:
     made += nodes
 
 
+def _hand_over(made: list, labels: list, steps: list) -> _Internal:
+    """The root of a build, holding its slot plan (labels, steps) (see
+    _plan), made along with the nodes.  made lists the build's nodes by slot
+    (see _make_group), the root last."""
+    e = made[-1]
+    object.__setattr__(e, "_slot_plan", (labels, steps))
+    return e
+
+
 def _depth_groups(e: _Internal) -> list:
-    """_order(e) grouped by (height, kind, arity), lowest height first, so
-    every node's internal children sit in earlier groups."""
+    """The nodes below e grouped by (height, kind, arity), lowest height
+    first, so every node's internal children sit in earlier groups."""
     height: dict[int, int] = {}
     groups: dict[tuple, list] = {}
     get, zeros = height.get, repeat(0)
-    for x in _order(e):
+    for x in _walk(e):
         h = height[id(x)] = max(map(get, map(id, x.children), zeros), default=0) + 1
         groups.setdefault((h, type(x) is Sum, len(x.children)), []).append(x)
     return [groups[key] for key in sorted(groups)]
 
 
 def _plan(e: _Internal) -> tuple:
-    """e's slot plan (labels, steps), evaluate_mod's program over a list of
-    value slots.  A builder hands it over with its root; any other root is
-    grouped by height in one pass, compiled on first use and cached.
+    """e's slot plan (labels, steps), the program that every fold of e runs
+    over a list of value slots.  A builder hands it over with its root; any
+    other root is grouped by height in one pass, compiled on first use and
+    cached.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns) then appends one value per
     node of a group: the node's children are read from the slots in
-    column j at its position, combined with op (add or mul) and reduced.
-    The root is the last slot.  A plan holds labels and slot numbers only,
-    never a node, so caching it on the root makes no cycle."""
+    column j at its position and combined with op (add for a Sum, mul for
+    a Product).  The root is the last slot.  A plan holds labels and slot
+    numbers only, never a node, so caching it on the root makes no cycle."""
     plan = e._slot_plan
     if plan is not None:
         return plan
@@ -471,6 +339,108 @@ def _plan(e: _Internal) -> tuple:
     return plan
 
 
+def _planned(e: Expression) -> tuple:
+    """_plan(e); a leaf is planned as the one-child Sum over it, which has
+    its value."""
+    return _plan(e if isinstance(e, _Internal) else Sum((e,)))
+
+
+def _fold(e: Expression, leaves, zero, one, on_sum, on_product):
+    """Bottom-up fold of e over its slot plan (_plan), a group of nodes per
+    step, so nesting depth is unbounded and each distinct node is done once.
+
+    The ZERO and UNIT slots hold zero and one, each label's slot holds
+    leaves(label), and each step appends its nodes' values, on_sum(values)
+    or on_product(values, sums): values[j] yields each node's j-th child
+    value and sums[j] whether that child is a Sum.  A node wider than _WIDE
+    is folded from the results of its chunks, and an empty node as its one
+    child, the identity, so both must fold like the whole node."""
+    labels, steps = _planned(e)
+    vals = [zero, one, *map(leaves, labels)]
+    sums = bytearray(len(vals))  # 1 at each slot that holds a Sum
+    get, is_sum = vals.__getitem__, sums.__getitem__
+    for op, columns in steps:
+        values = [map(get, column) for column in columns]
+        if op is add:
+            vals += on_sum(values)
+        else:
+            vals += on_product(values, [map(is_sum, column) for column in columns])
+        sums += (b"\1" if op is add else b"\0") * (len(vals) - len(sums))
+    return vals[-1]
+
+
+def _total(values: list) -> Iterable[int]:
+    """Each node's sum of its children's values."""
+    return map(sum, zip(*values))
+
+
+def _total_with_plus(values: list) -> Iterable[int]:
+    """Each node's sum of its children's values, plus one per '+' between
+    the children."""
+    return map(sum, zip(*values, repeat(len(values) - 1)))
+
+
+def simplify(e: Expression) -> Expression:
+    """Rebuild e in simplified form; expansion is unchanged."""
+    return _fold(e, Term, ZERO, UNIT, lambda values: map(sumof, zip(*values)),
+                 lambda values, sums: map(product, zip(*values)))
+
+
+def metric_terms(e: Expression) -> int:
+    """First complexity characteristic: term occurrences, counted with multiplicity."""
+    return _fold(e, lambda label: 1, 0, 0, _total, lambda values, sums: _total(values))
+
+
+def metric_plus(e: Expression) -> int:
+    """Second complexity characteristic: number of plus operators."""
+    return _fold(e, lambda label: 0, 0, 0, _total_with_plus, lambda values, sums: _total(values))
+
+
+def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> MonomialSet:
+    """Distributive expansion of e as a set of monomials (label sets).
+
+    Raises DuplicateMonomial if any monomial arises twice: a well-formed
+    factoring of a path polynomial has all coefficients equal to one.
+    """
+
+    def combine_sum(csets) -> frozenset:
+        out: set = set()
+        for cset in csets:
+            if out & cset:
+                raise DuplicateMonomial(
+                    f"monomial appears in two summands: {sorted(map(str, next(iter(out & cset))))}"
+                )
+            out |= cset
+            if len(out) > max_monomials:
+                raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+        return frozenset(out)
+
+    def combine_product(csets) -> frozenset:
+        acc: set = {frozenset()}
+        for cset in csets:
+            nxt: set = set()
+            for m1 in acc:
+                for m2 in cset:
+                    u = m1 | m2
+                    if len(u) != len(m1) + len(m2):
+                        raise DuplicateMonomial(
+                            f"label repeated within a monomial: {sorted(map(str, m1 & m2))}"
+                        )
+                    if u in nxt:
+                        raise DuplicateMonomial(
+                            f"monomial produced twice in a product: {sorted(map(str, u))}"
+                        )
+                    nxt.add(u)
+                    if len(nxt) > max_monomials:
+                        raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+            acc = nxt
+        return frozenset(acc)
+
+    return _fold(e, lambda label: frozenset([frozenset([label])]), frozenset(),
+                 frozenset([frozenset()]), lambda values: map(combine_sum, zip(*values)),
+                 lambda values, sums: map(combine_product, zip(*values)))
+
+
 def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     """Value of e modulo the prime of the assignment; UNIT -> 1, ZERO -> 0.
 
@@ -484,8 +454,7 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     if not points:
         return []
     p = points[0].prime
-    # a leaf is planned as the one-child Sum over it, which has its value
-    labels, steps = _plan(e if isinstance(e, _Internal) else Sum((e,)))
+    labels, steps = _planned(e)
     out = []
     for pt in points:
         try:
@@ -503,20 +472,21 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
 
 
 def labels_of(e: Expression) -> Counter:
-    """Multiset of labels occurring in e (with multiplicity), in one pass over
-    the nodes parents first: each node's print count is complete before it
-    adds that count to each of its child slots."""
-    if not isinstance(e, _Internal):
-        return Counter([e.label] if isinstance(e, Term) else [])
-    printed = {id(e): 1}
+    """Multiset of labels occurring in e (with multiplicity), in one pass
+    over its slot plan's steps in reverse, parents first: each slot's print
+    count is complete before it adds that count to each of its child slots."""
+    labels, steps = _planned(e)
+    top = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
+    printed = [0] * (top - 1) + [1]  # the root, printed once
+    for _, columns in reversed(steps):
+        top -= len(columns[0])
+        counts = printed[top:top + len(columns[0])]
+        for column in columns:
+            for s, k in zip(column, counts):
+                printed[s] += k
     out: Counter = Counter()
-    for x in chain((e,), reversed(_order(e))):
-        k = printed[id(x)]
-        for c in x.children:
-            if isinstance(c, Term):
-                out[c.label] += k
-            elif isinstance(c, _Internal):
-                printed[id(c)] = printed.get(id(c), 0) + k
+    for label, k in zip(labels, printed[2:]):
+        out[label] += k
     return out
 
 
@@ -535,26 +505,27 @@ def sp_parallel(e1: Expression, e2: Expression) -> Expression:
     return sumof([e1, e2])
 
 
+def _product_text(values: list, sums: list) -> Iterable[str]:
+    """Each node's factors juxtaposed, with parentheses around a Sum."""
+    parts = []
+    for column, flags in zip(values, sums):
+        flags = bytes(flags)
+        parts += map(("", "(").__getitem__, flags), column, map(("", ")").__getitem__, flags)
+    return map("".join, zip(*parts))
+
+
 def format_expression(e: Expression) -> str:
     """Render e in the text grammar: juxtaposed products, '+'-joined sums,
-    parentheses only around sum factors inside a product."""
-    return _memoized(
-        e,
-        leaf=lambda x: str(x.label) if isinstance(x, Term) else x.symbol,
-        combine_sum=lambda x, cs: "+".join(cs),
-        combine_product=lambda x, cs: "".join(
-            f"({s})" if isinstance(c, Sum) else s for c, s in zip(x.children, cs)),
-    )
+    parentheses only around sum factors inside a product.  An empty Sum or
+    Product prints as its identity, 0 or 1."""
+    return _fold(e, str, "0", "1", lambda values: map("+".join, zip(*values)), _product_text)
 
 
 def formula_length(e: Expression) -> int:
     """len(format_expression(e)), without building the text."""
-    return _memoized(
-        e,
-        leaf=lambda x: len(str(x.label)) if isinstance(x, Term) else 1,
-        combine_sum=lambda x, cs: sum(cs) + len(cs) - 1,
-        combine_product=lambda x, cs: sum(cs) + 2 * sum(isinstance(c, Sum) for c in x.children),
-    )
+    return _fold(e, lambda label: len(str(label)), 1, 1, _total_with_plus,
+                 lambda values, sums: map(sum, zip(*values, *[map((0, 2).__getitem__, s)
+                                                              for s in sums])))
 
 
 # One alternative per token kind, so that a match's lastindex names its kind;
@@ -588,8 +559,7 @@ def parse(text: str) -> Expression:
     not tokenised again: it parses to the node of its first occurrence,
     which is what parsing it would return.  The tables live for one call.
     """
-    term = _term_table()
-    leaves: dict[str, Term] = {}
+    leaves: dict[str, Term] = {}  # label text as written, and as printed -> its Term
     nodes: dict[tuple, Expression] = {}  # (type, ids of children) -> node
     # first _GROUP_KEY characters -> {length: (start, node)}, first occurrences
     groups: dict[str, dict[int, tuple]] = {}
@@ -638,7 +608,9 @@ def parse(text: str) -> Expression:
                     index = int(tok[1:])
                     if index < 1:
                         raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
-                    t = leaves[tok] = term(tok[0], index)
+                    # a01 and a1 name one label, so they share one Term
+                    t = leaves[tok] = leaves.setdefault(f"{tok[0]}{index}",
+                                                        Term(Label(tok[0], index)))
                 factors.append(t)
                 want = False
             elif kind is None:  # whitespace

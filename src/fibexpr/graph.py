@@ -78,8 +78,11 @@ def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> l
     A depth-first walk with an explicit stack of path prefixes; the b-step
     is pushed first so that the a-step is walked first."""
     _check_n(n)
-    if path_count(n) > max_paths:
-        raise SizeExceeded(f"{path_count(n)} paths exceeds bound {max_paths}")
+    prev, cur = 1, 1  # path counts, as in path_count, up to the first past the bound
+    for _ in range(n - 2):
+        prev, cur = cur, prev + cur
+        if cur > max_paths:
+            raise SizeExceeded(f"n={n}: the number of paths exceeds bound {max_paths}")
     out: list[tuple] = []
     stack = [(1,)]
     while stack:

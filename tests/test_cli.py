@@ -194,6 +194,8 @@ class TestVerify:
     ("fit --m 2 --n-list 1,2,3,4", "too small to fit"),
     ("expr --n 40 --method canonical", "paths exceeds bound"),
     ("verify --n 40 --mode expand", "paths exceeds bound"),
+    ("expr --n 25000 --method canonical", "n=25000: the number of paths exceeds bound 1000000"),
+    ("verify --n 25000 --mode expand", "n=25000: the number of paths exceeds bound 1000000"),
     ("expr --n 40 --method gd --m 40", "summands"),
     ("fit --m 100 --n-list 64,128,256,512", "summands"),
     ("expr --n 1024 --method gd --m 20", "a build of at least"),
@@ -221,6 +223,16 @@ def test_file_errors_exit_2_without_traceback(tmp_path, command):
     assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
     assert args[-1] in result.output
     assert "Traceback" not in result.output
+
+
+def test_expand_refuses_a_large_n_at_once(tmp_path):
+    # the path count is not computed past the bound, so n = 10^6 costs no
+    # million big-integer additions
+    formula = tmp_path / "f.txt"
+    formula.write_text("a1\n")
+    result = run("verify", "--n", "1000000", "--formula", str(formula), "--mode", "expand")
+    assert result.exit_code == 2
+    assert result.output == "Error: n=1000000: the number of paths exceeds bound 1000000\n"
 
 
 def test_python_m_fibexpr_runs_the_cli():

@@ -28,7 +28,7 @@ from fibexpr.expr import (
     Term,
     UNIT,
     ZERO,
-    _order,
+    _walk,
     a,
     b,
     evaluate_mod,
@@ -206,7 +206,7 @@ class TestDecomposeGd:
                    lambda: decompose(100, Seeded(1)), lambda: decompose_gd(300, GdSpec(5))]
 
         def summands(e):
-            return sum(len(x.children) for x in [*_order(e), e] if isinstance(x, Sum))
+            return sum(len(x.children) for x in [*_walk(e), e] if isinstance(x, Sum))
 
         for build in builds:
             total = summands(build())

@@ -1,7 +1,7 @@
 """Expression core: metrics, simplification, expansion, parsing, evaluation."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fibexpr.decompose import decompose
 from fibexpr.expr import (
@@ -22,7 +22,9 @@ from fibexpr.expr import (
     evaluate_mod,
     expand,
     format_expression,
+    formula_length,
     is_read_once,
+    labels_of,
     metric_plus,
     metric_terms,
     parse,
@@ -245,6 +247,35 @@ def test_simplify_never_grows_terms(e):
 def test_plus_metric_matches_rendered_pluses(e):
     s = simplify(e)
     assert metric_plus(s) == format_expression(s).count("+")
+
+
+# unsimplified trees: empty and one-child nodes, and a Sum or Product
+# directly under one of its own kind
+_unsimplified = st.recursive(
+    st.one_of(st.just(UNIT), st.just(ZERO), st.builds(Term, _labels)),
+    lambda children: st.one_of(
+        st.builds(lambda cs: Sum(tuple(cs)), st.lists(children, max_size=3)),
+        st.builds(lambda cs: Product(tuple(cs)), st.lists(children, max_size=3)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(_unsimplified)
+@example(Sum((Product(()), Sum(()), Product((T("a", 1),)), ZERO)))
+def test_folds_agree_with_the_printed_text(e):
+    text = format_expression(e)
+    assert formula_length(e) == len(text)
+    assert metric_plus(e) == text.count("+")
+    assert metric_terms(e) == sum(labels_of(e).values())
+
+
+def test_empty_nodes_print_their_identity():
+    e = Sum((Product(()), Sum(()), Product((T("a", 1),)), ZERO))
+    assert format_expression(e) == "1+0+a1+0"
+    assert format_expression(Product((Sum(()), T("a", 2)))) == "(0)a2"
+    assert (formula_length(e), metric_plus(e), metric_terms(e)) == (8, 3, 1)
 
 
 @settings(max_examples=200)

@@ -1,5 +1,5 @@
-"""The children-first node order that every fold runs over: handed over by
-the builders, walked once and cached for any other root."""
+"""The slot plan that every fold runs over: handed over by the builders,
+compiled once and cached for any other root."""
 
 import gc
 import random
@@ -21,6 +21,7 @@ from fibexpr.decompose import (
 )
 from fibexpr.expr import (
     Assignment,
+    DuplicateMonomial,
     ExprError,
     Product,
     Sum,
@@ -28,15 +29,19 @@ from fibexpr.expr import (
     UNIT,
     UnassignedLabel,
     ZERO,
-    _order,
+    _walk,
     a,
     b,
     evaluate_mod,
+    expand,
     format_expression,
+    formula_length,
     labels_of,
     metric_plus,
     metric_terms,
     parse,
+    product,
+    simplify,
     sumof,
 )
 from fibexpr.graph import canonical_expression, edges
@@ -111,26 +116,31 @@ def local_fold(e, values, prime=PRIME):
     return memo[id(e)]
 
 
+def folds(e):
+    """Every fold of e but evaluate_mod and expand; the text only if it is
+    short, since a leftmost formula's length grows like the path count."""
+    length = formula_length(e)
+    return (format_expression(e) if length < 10**5 else None, length, metric_terms(e),
+            metric_plus(e), labels_of(e), simplify(e))
+
+
 class TestHandedOverOrder:
-    def test_builders_hand_over_the_walked_order(self):
+    """The builders' handed-over plan, whose steps list the node groups
+    children first."""
+
+    def test_builders_hand_over_a_plan_that_folds_like_a_compiled_one(self):
         checked = 0
         for name, e in built_roots():
             if not internal(e):
                 assert e is UNIT or isinstance(e, Term), name
                 continue
-            handed = e._children_first
-            assert handed is not None, f"{name} arrived without its order"
-            object.__setattr__(e, "_children_first", None)
-            walked = _order(e)
-            assert walked is not handed
-            ids = [id(x) for x in handed]
-            assert len(ids) == len(set(ids)), f"{name}: a node is listed twice"
-            assert set(ids) == {id(x) for x in walked}, f"{name}: other nodes than the walk"
-            assert id(e) not in set(ids), f"{name}: the root is listed"
-            position = {key: k for k, key in enumerate(ids)}
-            for k, x in enumerate(handed):
-                assert all(position[id(c)] < k for c in x.children if internal(c)), \
-                    f"{name}: a node comes before its child"
+            handed = e._slot_plan
+            assert handed is not None, f"{name} arrived without its plan"
+            assert vars(e).keys() == {"children", "_slot_plan"}, f"{name}: more than the plan"
+            with_handed = folds(e)
+            object.__setattr__(e, "_slot_plan", None)
+            assert folds(e) == with_handed, name
+            assert e._slot_plan is not handed
             checked += 1
         assert checked > 300
 
@@ -151,32 +161,30 @@ class TestHandedOverOrder:
                 assert all(0 <= s < filled for column in columns for s in column), \
                     f"{name}: a step reads a slot before it is filled"
                 filled += rows.pop()
-            assert filled - 2 - len(labels) >= len(e._children_first) + 1, \
+            assert filled - 2 - len(labels) >= len(_walk(e)) + 1, \
                 f"{name}: fewer slots than nodes"
-            done = set()
-            for x in e._children_first:
-                assert id(x) not in done, f"{name}: a node is listed twice"
-                assert all(id(c) in done for c in x.children if internal(c)), \
-                    f"{name}: a node comes before its child"
-                done.add(id(x))
-            assert all(id(c) in done for c in e.children if internal(c)), name
-            assert id(e) not in done, f"{name}: the root is listed"
             checked += 1
         assert checked > 300
 
     def test_walk_lists_children_first(self):
         e = decompose(40)
-        object.__setattr__(e, "_children_first", None)
-        order = _order(e)
+        order = _walk(e)
         done = set()
         for x in order:
+            assert id(x) not in done
             assert all(id(c) in done for c in x.children if internal(c))
             done.add(id(x))
         assert all(id(c) in done for c in e.children if internal(c))
+        assert id(e) not in done
 
-    def test_leaves_have_an_empty_order(self):
-        for leaf in (UNIT, ZERO, Term(a(1)), decompose(2), decompose(1)):
-            assert _order(leaf) == []
+    def test_leaves_fold_as_themselves(self):
+        for leaf, text, monomials in ((UNIT, "1", {frozenset()}), (ZERO, "0", set()),
+                                      (Term(a(1)), "a1", {frozenset([a(1)])}),
+                                      (decompose(2), "a1", {frozenset([a(1)])}),
+                                      (decompose(1), "1", {frozenset()})):
+            labels = {a(1): 1} if text == "a1" else {}
+            assert folds(leaf) == (text, len(text), len(labels), 0, labels, leaf)
+            assert expand(leaf) == monomials
 
 
 class TestNoCycle:
@@ -195,7 +203,7 @@ class TestNoCycle:
             point = Assignment.random(edges(200), PRIME, random.Random(1))
             evaluate_mod(e, point)
             evaluate_mod(e, [point, point])
-            assert _order(e) is e._children_first
+            folds(e)
             assert e._slot_plan is not None
             ref = weakref.ref(e)
             del e
@@ -219,9 +227,10 @@ class TestUnbuiltRoots:
     @pytest.mark.parametrize("case", range(5))
     def test_folds_match_a_local_walk(self, case):
         name, n, e = list(unbuilt_roots())[case]
-        assert e._children_first is None
-        order = _order(e)
-        assert order is _order(e)
+        assert e._slot_plan is None
+        labels_of(e)
+        plan = e._slot_plan  # compiled by the first fold, reused by the rest
+        assert plan is not None
         rng = random.Random(case)
         pts = [Assignment.random(edges(max(n, 3)), PRIME, rng) for _ in range(4)]
         want = [local_fold(e, pt.values) for pt in pts]
@@ -230,11 +239,11 @@ class TestUnbuiltRoots:
         assert evaluate_mod(e, pts[:1]) == [want[0][0]]
         assert metric_terms(e) == want[0][1]
         assert metric_plus(e) == want[0][2]
-        assert _order(e) is order
+        assert e._slot_plan is plan
 
     def test_parsed_order_leaves_out_nodes_that_flattening_dropped(self):
         e = parse("(a1a2)a3+b1")
-        assert [format_expression(x) for x in _order(e)] == ["a1a2a3"]
+        assert [format_expression(x) for x in _walk(e)] == ["a1a2a3"]
 
     def test_long_product_stays_exact(self):
         labels = [a(k) for k in range(1, 200)]
@@ -299,9 +308,9 @@ class TestSlotPlan:
         for name, e in [*built_roots(), *parsed]:
             if not internal(e):
                 continue
-            pts = [Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))] * 2
             handed = e._slot_plan
             assert (handed is None) == name.startswith("parse"), name
+            pts = [Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))] * 2
             first = evaluate_mod(e, pts[0])
             plan = e._slot_plan
             assert plan is not None and (handed is None or plan is handed), name
@@ -348,12 +357,75 @@ class TestSlotPlan:
         assert e._slot_plan is None  # a batch of mixed primes is refused before planning
 
 
+def wide_reference(e):
+    """(text, terms, plus, simplified) of e: this test's own recursive fold."""
+    if not internal(e):
+        return (str(e.label), 1, 0, e) if isinstance(e, Term) else (repr(e), 0, 0, e)
+    parts = [wide_reference(c) for c in e.children]
+    terms, plus = sum(p[1] for p in parts), sum(p[2] for p in parts)
+    if isinstance(e, Sum):
+        return ("+".join(p[0] for p in parts), terms, plus + len(parts) - 1,
+                sumof(p[3] for p in parts))
+    return ("".join(f"({p[0]})" if isinstance(c, Sum) else p[0]
+                    for c, p in zip(e.children, parts)), terms, plus,
+            product(p[3] for p in parts))
+
+
+def forty(first, at_35, make):
+    """make over 40 children: first and at_35 (which sit in different
+    32-child chunks) and 38 distinct b-labels."""
+    children = [Term(b(k)) for k in range(1, 41)]
+    children[0], children[35] = first, at_35
+    return make(tuple(children))
+
+
+class TestWideNodes:
+    @pytest.mark.parametrize("e", [
+        wide_products(),
+        Product(tuple(Sum((Term(a(k)), Term(b(k)))) for k in range(1, 41))),
+        Sum(tuple(Product((Sum((Term(a(k)), UNIT)), Term(b(k)))) for k in range(1, 101))),
+        Sum((Sum(tuple(map(Term, map(a, range(1, 34))))), Sum((Term(b(1)), ZERO)))),
+    ], ids=["wide-products", "product-of-40-sums", "sum-of-100", "sum-of-33-in-a-sum"])
+    def test_folds_match_a_recursive_reference(self, e):
+        text, terms, plus, simplified = wide_reference(e)
+        assert format_expression(e) == text
+        assert formula_length(e) == len(text)
+        assert (metric_terms(e), metric_plus(e)) == (terms, plus)
+        assert sum(labels_of(e).values()) == terms
+        assert simplify(e) == simplified
+
+    def test_duplicates_across_chunks_are_found(self):
+        with pytest.raises(DuplicateMonomial, match=r"monomial appears in two summands: \['a1'\]"):
+            expand(forty(Term(a(1)), Term(a(1)), Sum))
+        with pytest.raises(DuplicateMonomial, match=r"label repeated within a monomial: \['a1'\]"):
+            expand(forty(Term(a(1)), Term(a(1)), Product))
+
+    def test_product_made_twice_across_chunks_is_found(self):
+        # (a_i + a_i a_j)(a_j + 1) makes a_i a_j twice, and a_j twice in one
+        # monomial; which comes first follows set order, so label pairs are
+        # tried until the product made twice is the one reported
+        seen = set()
+        for i, j in ((i, j) for i in range(1, 40) for j in range(i + 1, 40)):
+            e = forty(Sum((Term(a(i)), Product((Term(a(i)), Term(a(j)))))),
+                      Sum((Term(a(j)), UNIT)), Product)
+            assert expand(Product(e.children[:32])) and expand(Product(e.children[32:]))
+            twice = sorted([f"a{i}", f"a{j}", *(f"b{k}" for k in range(2, 41) if k != 36)])
+            with pytest.raises(DuplicateMonomial) as caught:
+                expand(e)
+            assert str(caught.value) in (f"monomial produced twice in a product: {twice}",
+                                         f"label repeated within a monomial: ['a{j}']")
+            seen.add(str(caught.value).split(":")[0])
+            if "monomial produced twice in a product" in seen:
+                break
+        assert "monomial produced twice in a product" in seen
+
+
 def test_hashing_node_by_node_stays_linear(monkeypatch):
     """Hashing every node of a deep chain one at a time, children first,
     walks no node twice: each walk leaves out the nodes hashed before it."""
     want = hash(deep_chain(5000))  # hashed from the root alone
     e = deep_chain(5000)
-    nodes = [*_order(e), e]
+    nodes = [*_walk(e), e]
     walk, walked = fibexpr.expr._walk, []
 
     def counting_walk(x, hashed=False):
