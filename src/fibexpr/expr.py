@@ -400,45 +400,44 @@ def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> Monom
     """Distributive expansion of e as a set of monomials (label sets).
 
     Raises DuplicateMonomial if any monomial arises twice: a well-formed
-    factoring of a path polynomial has all coefficients equal to one.
+    factoring of a path polynomial has all coefficients equal to one.  A
+    sum's summands may share no monomial, and no two factors' monomials may
+    share a label.  That covers a product making one monomial twice: if
+    disjoint m1 m2 and m1' m2' of two different pairs are equal, m1 != m1',
+    say with a label in m1' but not m1; it lies in m2, so m1' and m2 share
+    it.  Each node's monomials are a list in plan order, so the duplicate
+    reported does not depend on set order.
     """
 
-    def combine_sum(csets) -> frozenset:
-        out: set = set()
-        for cset in csets:
-            if out & cset:
-                raise DuplicateMonomial(
-                    f"monomial appears in two summands: {sorted(map(str, next(iter(out & cset))))}"
-                )
-            out |= cset
-            if len(out) > max_monomials:
+    def combine_sum(lists) -> list:
+        if sum(map(len, lists)) > max_monomials:
+            raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+        out = [*chain.from_iterable(lists)]
+        if len(set(out)) != len(out):
+            seen: set = set()
+            twice = next(m for m in out if m in seen or seen.add(m))
+            raise DuplicateMonomial(f"monomial appears in two summands: {sorted(map(str, twice))}")
+        return out
+
+    def combine_product(lists) -> list:
+        # the one-monomial factors are joined first, which leaves the order alone
+        ones = [factor[0] for factor in lists if len(factor) == 1]
+        acc, size, labels = [frozenset().union(*ones)], 1, sum(map(len, ones))
+        for factor in (factor for factor in lists if len(factor) != 1):
+            labels = labels * len(factor) + size * sum(map(len, factor))
+            size *= len(factor)
+            if size > max_monomials:
                 raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-        return frozenset(out)
+            acc = [m1 | m2 for m1 in acc for m2 in factor]
+        if sum(map(len, acc)) != labels:  # some two factors' monomials share a label
+            shared = next(m1 & m2 for k, factor in enumerate(lists) for later in lists[k + 1:]
+                          for m1 in factor for m2 in later if not m1.isdisjoint(m2))
+            raise DuplicateMonomial(f"label repeated within a monomial: {sorted(map(str, shared))}")
+        return acc
 
-    def combine_product(csets) -> frozenset:
-        acc: set = {frozenset()}
-        for cset in csets:
-            nxt: set = set()
-            for m1 in acc:
-                for m2 in cset:
-                    u = m1 | m2
-                    if len(u) != len(m1) + len(m2):
-                        raise DuplicateMonomial(
-                            f"label repeated within a monomial: {sorted(map(str, m1 & m2))}"
-                        )
-                    if u in nxt:
-                        raise DuplicateMonomial(
-                            f"monomial produced twice in a product: {sorted(map(str, u))}"
-                        )
-                    nxt.add(u)
-                    if len(nxt) > max_monomials:
-                        raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
-            acc = nxt
-        return frozenset(acc)
-
-    return _fold(e, lambda label: frozenset([frozenset([label])]), frozenset(),
-                 frozenset([frozenset()]), lambda values: map(combine_sum, zip(*values)),
-                 lambda values, sums: map(combine_product, zip(*values)))
+    return frozenset(_fold(e, lambda label: [frozenset([label])], [], [frozenset()],
+                           lambda values: map(combine_sum, zip(*values)),
+                           lambda values, sums: map(combine_product, zip(*values))))
 
 
 def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):

@@ -9,6 +9,7 @@ graphs are passed around as a bare integer.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -28,8 +29,6 @@ from .expr import (
     _edge_labels,
     _hand_over,
     _make_group,
-    a,
-    b,
     evaluate_mod,
     expand,
 )
@@ -54,47 +53,50 @@ def edges(n: int) -> list[Label]:
     return _edge_labels(n)
 
 
-def path_count(n: int) -> int:
-    """Number of source-to-sink paths: N(1)=N(2)=1, N(n)=N(n-1)+N(n-2)."""
-    _check_n(n)
+def _path_count(n: int, bound: float) -> int:
+    """N(n) by N(1) = N(2) = 1, N(n) = N(n-1) + N(n-2), raising
+    SizeExceeded as soon as a count passes bound."""
     prev, cur = 1, 1
     for _ in range(n - 2):
         prev, cur = cur, prev + cur
+        if cur > bound:
+            raise SizeExceeded(f"n={n}: the number of paths exceeds bound {bound}")
     return cur
+
+
+def path_count(n: int) -> int:
+    """Number of source-to-sink paths: N(1)=N(2)=1, N(n)=N(n-1)+N(n-2)."""
+    _check_n(n)
+    return _path_count(n, float("inf"))
+
+
+def _paths(n: int, max_paths: int) -> list[tuple]:
+    """Every path as the indices of its edges in _edge_labels(n) (a_v is
+    v-1, b_v is n+v-2), source to sink, by one suffix recurrence:
+    P(v) = [a_v + p for p in P(v+1)] + [b_v + p for p in P(v+2)], P(n) = [()],
+    P(n+1) = [].  The a-step comes first, so the paths come in lexicographic
+    order of vertex sequences.  They are counted against max_paths first."""
+    _check_n(n)
+    _path_count(n, max_paths)
+    after, here = [], [()]  # P(v+2), P(v+1)
+    for v in range(n - 1, 0, -1):
+        after, here = here, [*map((v - 1,).__add__, here), *map((n + v - 2,).__add__, after)]
+    return here
 
 
 def enumerate_paths(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[frozenset]:
     """All source-to-sink paths as label sets, ordered lexicographically by
     vertex sequence (the a-step is tried before the b-step)."""
-    seqs = path_vertex_sequences(n, max_paths)
-    step = {(v, v + 1): a(v) for v in range(1, n)}
-    step.update({(v, v + 2): b(v) for v in range(1, n - 1)})
-    return [frozenset(map(step.__getitem__, zip(seq, seq[1:]))) for seq in seqs]
+    paths = _paths(n, max_paths)
+    label = _edge_labels(n).__getitem__
+    return [frozenset(map(label, path)) for path in paths]
 
 
 def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[tuple]:
-    """Vertex sequences of all paths, in the same order as enumerate_paths.
-
-    A depth-first walk with an explicit stack of path prefixes; the b-step
-    is pushed first so that the a-step is walked first."""
-    _check_n(n)
-    prev, cur = 1, 1  # path counts, as in path_count, up to the first past the bound
-    for _ in range(n - 2):
-        prev, cur = cur, prev + cur
-        if cur > max_paths:
-            raise SizeExceeded(f"n={n}: the number of paths exceeds bound {max_paths}")
-    out: list[tuple] = []
-    stack = [(1,)]
-    while stack:
-        seq = stack.pop()
-        v = seq[-1]
-        if v == n:
-            out.append(seq)
-            continue
-        if v + 2 <= n:
-            stack.append(seq + (v + 2,))
-        stack.append(seq + (v + 1,))
-    return out
+    """Vertex sequences of all paths, in the same order as enumerate_paths."""
+    paths = _paths(n, max_paths)
+    head = [*range(2, n + 1), *range(3, n + 1)].__getitem__  # by edge index
+    return [(1, *map(head, path)) for path in paths]
 
 
 def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Expression:
@@ -103,22 +105,20 @@ def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Ex
     are made by arity, one node per row of label slots, and the slot plan is
     handed over with the root (see decompose._build)."""
     _check_n(n, minimum=2)
+    paths = _paths(n, max_paths)
     labels = _edge_labels(n)
-    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: a_v at v+1, b_v at n+v
-    slot = {(v, v + 1): v + 1 for v in range(1, n)}
-    slot.update({(v, v + 2): n + v for v in range(1, n - 1)})
-    paths = [[*map(slot.__getitem__, zip(seq, seq[1:]))]
-             for seq in path_vertex_sequences(n, max_paths)]
+    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: edge index k at k+2
     if n == 2:
-        return made[paths[0][0]]  # one path of one edge
+        return made[2]  # one path of one edge
     by_arity: dict[int, list] = {}
     for k, path in enumerate(paths):
         if len(path) > 1:
             by_arity.setdefault(len(path), []).append(k)
-    summands = [path[0] for path in paths]  # slot of each path's summand
+    summands = [path[0] + 2 for path in paths]  # slot of each path's summand
     steps: list = []
     for ks in by_arity.values():
-        _make_group(made, steps, mul, [*zip(*map(paths.__getitem__, ks))])
+        columns = zip(*map(paths.__getitem__, ks))
+        _make_group(made, steps, mul, [[*map(add, column, repeat(2))] for column in columns])
         for k, at in zip(ks, range(len(made) - len(ks), len(made))):
             summands[k] = at
     _make_group(made, steps, add, [*zip(summands)])
@@ -190,13 +190,13 @@ def is_prime(m: int) -> bool:
 
 def check_sampling(n: int, trials: int, prime: int):
     """Raise InvalidSampling unless `trials` >= 1 and `prime` is a prime
-    above n-1, the degree of the path polynomial, which is what the
-    per-trial false-pass bound (n-1)/prime needs."""
+    above n.  Points come from the prime-1 values 1..prime-1, so a nonzero
+    difference of degree at most n-1 vanishes at one with probability at
+    most (n-1)/(prime-1), which is below 1 only for a prime above n."""
     if not isinstance(trials, int) or trials < 1:
         raise InvalidSampling(f"need at least one trial, got {trials!r}")
-    if not isinstance(prime, int) or prime <= n - 1 or not is_prime(prime):
-        raise InvalidSampling(
-            f"modulus must be a prime greater than n-1 = {n - 1}, got {prime!r}")
+    if not isinstance(prime, int) or prime <= n or not is_prime(prime):
+        raise InvalidSampling(f"modulus must be a prime greater than n = {n}, got {prime!r}")
 
 
 def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,

@@ -144,7 +144,18 @@ class TestVerify:
     def test_bad_prime_is_usage_error(self, prime):
         result = run("verify", "--n", "64", "--mode", "modeval", "--prime", prime)
         assert result.exit_code == 2
-        assert "prime greater than n-1 = 63" in result.output
+        assert "prime greater than n = 64" in result.output
+
+    @pytest.mark.parametrize("n, text", [("2", "1"), ("3", "1")])
+    def test_prime_equal_to_n_is_usage_error(self, tmp_path, n, text):
+        # points come from 1..n-1, so the per-trial bound (n-1)/(p-1) would be 1
+        formula = tmp_path / "f.txt"
+        formula.write_text(text + "\n")
+        result = run("verify", "--n", n, "--formula", str(formula), "--mode", "modeval",
+                     "--prime", n)
+        assert result.exit_code == 2
+        assert f"prime greater than n = {n}, got {n}" in result.output
+        assert "EQUIVALENT" not in result.output
 
     @pytest.mark.parametrize("value, message", [
         ("abc", "FIBEXPR_PRIME must be an integer"), ("9", "got 9")])
@@ -233,6 +244,24 @@ def test_expand_refuses_a_large_n_at_once(tmp_path):
     result = run("verify", "--n", "1000000", "--formula", str(formula), "--mode", "expand")
     assert result.exit_code == 2
     assert result.output == "Error: n=1000000: the number of paths exceeds bound 1000000\n"
+
+
+def test_expand_detail_does_not_depend_on_the_hash_seed(tmp_path):
+    # (a1+a1a2)(a2+1) makes a1a2 twice and repeats a2 in a1a2*a2; one
+    # message names it under every hash seed
+    src = Path(__file__).resolve().parents[1] / "src"
+    formula = tmp_path / "f.txt"
+    formula.write_text("(a1+a1a2)(a2+1)\n")
+    outputs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run([sys.executable, "-m", "fibexpr", "verify", "--n", "3",
+                                 "--formula", str(formula), "--mode", "expand"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1
+        outputs.add(result.stdout)
+    assert outputs == {
+        "NOT EQUIVALENT (2 monomials; label repeated within a monomial: ['a2'])\n"}
 
 
 def test_python_m_fibexpr_runs_the_cli():

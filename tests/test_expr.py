@@ -1,5 +1,10 @@
 """Expression core: metrics, simplification, expansion, parsing, evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -146,6 +151,27 @@ class TestExpand:
     def test_shared_label_product_collision_is_an_error(self):
         with pytest.raises(DuplicateMonomial):
             expand(parse("(a1+a1a2)(a2+1)"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("(a1+a1a2)(a2+1)", "label repeated within a monomial: ['a2']"),
+        ("(a1+a2+a3)(a3+a2+a1)", "label repeated within a monomial: ['a1']"),
+        ("(a1+b1)(a2+b2)(a3+b3)+(a1+b1)(a2+b2)a3",
+         "monomial appears in two summands: ['a1', 'a2', 'a3']"),
+    ])
+    def test_duplicate_message_does_not_depend_on_the_hash_seed(self, text, message):
+        # each of these makes some monomial twice and also repeats a label;
+        # set order changes with the hash seed, the first duplicate may not
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys\nfrom fibexpr.expr import DuplicateMonomial, expand, parse\n"
+                "try:\n    expand(parse(sys.argv[1]))\n"
+                "except DuplicateMonomial as exc:\n    print(exc)\n")
+        messages = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+            result = subprocess.run([sys.executable, "-c", code, text], capture_output=True,
+                                    text=True, env=env, timeout=60)
+            messages.add(result.stdout.strip())
+        assert messages == {message}
 
 
 class TestEvaluate:

@@ -12,6 +12,7 @@ from fibexpr.expr import (
     b,
     evaluate_mod,
     expand,
+    format_expression,
     metric_plus,
     metric_terms,
 )
@@ -125,6 +126,14 @@ class TestCanonicalExpression:
     def test_expansion_is_path_set(self):
         for n in range(2, 12):
             assert expand(canonical_expression(n)) == frozenset(enumerate_paths(n))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_text_lists_the_paths_in_order(self, n):
+        # one summand per path, in walk order, its labels source to sink
+        _, seqs = recursive_walk(n)
+        text = "+".join("".join(f"{'a' if w == v + 1 else 'b'}{v}" for v, w in zip(seq, seq[1:]))
+                        for seq in seqs)
+        assert format_expression(canonical_expression(n)) == text
 
     def test_invalid_n(self):
         with pytest.raises(InvalidN):
