@@ -59,11 +59,12 @@ def default_prime() -> int:
 
 
 def false_pass_bound(n: int, trials: int, prime: int) -> str:
-    """((n-1)/prime)^trials in short scientific notation, computed through
-    its logarithm so that no bound underflows to zero."""
+    """((n-1)/(prime-1))^trials in short scientific notation, computed
+    through its logarithm so that no bound underflows to zero.  Points come
+    from the prime-1 values 1..prime-1 (see graph.check_sampling)."""
     if n == 1:
         return "0"
-    exponent = trials * math.log10((n - 1) / prime)
+    exponent = trials * math.log10((n - 1) / (prime - 1))
     whole = math.floor(exponent)
     mantissa = 10 ** (exponent - whole)
     if round(mantissa, 1) >= 10:

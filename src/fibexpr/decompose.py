@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import Mapping, Union
 
@@ -206,20 +206,14 @@ def _build(n: int, split) -> Expression:
                     summands.append((len(fs), len(group)))
                     group.append([*map(columns.__getitem__, fs)])
             sums.setdefault(len(summands), []).append((summands, ps))
-        placed = {}  # arity -> the slots of each product column, in order
-        for arity, group in products.items():
-            _make_group(made, steps, mul, [[*chain.from_iterable(c)] for c in zip(*group)])
-            rows = [len(c[0]) for c in group]
-            ends = [*accumulate(rows, initial=len(made) - sum(rows))]
-            placed[arity] = [*map(range, ends, ends[1:])]
+        # arity -> the slots of each product column, in order
+        placed = {arity: _make_group(made, steps, mul, group) for arity, group in products.items()}
         slot_of[length] = at = {}
         for group in sums.values():
-            group_columns = [[s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
-                             for summands, ps in group]
-            _make_group(made, steps, add,
-                        [[*chain.from_iterable(c)] for c in zip(*group_columns)])
-            ps = [*chain.from_iterable(ps for summands, ps in group)]
-            at.update(zip(ps, range(len(made) - len(ps), len(made))))
+            parts = [[s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
+                     for summands, ps in group]
+            for (summands, ps), slots in zip(group, _make_group(made, steps, add, parts)):
+                at.update(zip(ps, slots))
     return _hand_over(made, labels, steps)
 
 

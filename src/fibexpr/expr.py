@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, mod, mul, not_
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -250,11 +250,12 @@ def _walk(e: _Internal, hashed: bool = False) -> list:
 _WIDE = 32
 
 
-def _add_steps(steps: list, op, columns: list, top: int) -> int:
+def _add_steps(steps: list, op, columns: list, top: int) -> range:
     """Append to steps the plan steps that combine, with op, one node per
     row of columns (column j holding every node's j-th child slot), when
-    the next free slot is top; returns the free slot after them.  The nodes'
-    values take the last len(columns[0]) slots before it."""
+    the next free slot is top; returns the slots of the nodes' values, one
+    per row.  A wide node's chunk partials take the slots before them, and
+    the free slot after them is the range's stop."""
     rows = len(columns[0])
     while len(columns) > _WIDE:  # first each node's chunks, then their results
         whole, rest = divmod(len(columns), _WIDE)
@@ -266,19 +267,23 @@ def _add_steps(steps: list, op, columns: list, top: int) -> int:
         top += len(partials) * rows
         columns = partials + (columns[-1:] if rest == 1 else [])  # a one-child chunk as is
     steps.append((op, columns))
-    return top + rows
+    return range(top, top + rows)
 
 
-def _make_group(made: list, steps: list, op, columns: list) -> None:
+def _make_group(made: list, steps: list, op, parts: list) -> list:
     """A builder's group of nodes of one kind and arity: one Sum (op add) or
-    Product (op mul) per row of columns, over the nodes at the slots in that
-    row.  made lists a build's nodes by slot, None for a slot that holds a
-    chunk of a wide node; the new nodes take the slots their plan steps,
-    appended to steps, fill."""
-    top = _add_steps(steps, op, columns, len(made))
+    Product (op mul) per row of each part's columns (column j holding the
+    slots of each row's j-th child), made with one run of plan steps
+    appended to steps; returns the slots of each part's nodes.  made lists
+    a build's nodes by slot, None for a slot that holds a chunk of a wide
+    node.  A single part's columns go into the plan as they are."""
+    columns = parts[0] if len(parts) == 1 else [[*chain.from_iterable(c)] for c in zip(*parts)]
+    slots = _add_steps(steps, op, columns, len(made))
     nodes = [*map(Sum if op is add else Product, zip(*[map(made.__getitem__, c) for c in columns]))]
-    made += repeat(None, top - len(nodes) - len(made))
+    made += repeat(None, slots.start - len(made))
     made += nodes
+    ends = [*accumulate((len(part[0]) for part in parts), initial=slots.start)]
+    return [*map(range, ends, ends[1:])]
 
 
 def _hand_over(made: list, labels: list, steps: list) -> _Internal:
@@ -302,11 +307,12 @@ def _depth_groups(e: _Internal) -> list:
     return [groups[key] for key in sorted(groups)]
 
 
-def _plan(e: _Internal) -> tuple:
+def _plan(e: Expression) -> tuple:
     """e's slot plan (labels, steps), the program that every fold of e runs
     over a list of value slots.  A builder hands it over with its root; any
     other root is grouped by height in one pass, compiled on first use and
-    cached.
+    cached.  A leaf is planned as the one-child Sum over it, which has its
+    value.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns) then appends one value per
@@ -314,6 +320,8 @@ def _plan(e: _Internal) -> tuple:
     column j at its position and combined with op (add for a Sum, mul for
     a Product).  The root is the last slot.  A plan holds labels and slot
     numbers only, never a node, so caching it on the root makes no cycle."""
+    if not isinstance(e, _Internal):
+        e = Sum((e,))
     plan = e._slot_plan
     if plan is not None:
         return plan
@@ -325,24 +333,18 @@ def _plan(e: _Internal) -> tuple:
     terms.pop(id(UNIT), None)
     slot = dict(zip(terms, count(2)))
     slot[id(ZERO)], slot[id(UNIT)] = 0, 1
-    steps, top, at = [], len(terms) + 2, 0
+    steps, nodes, at = [], range(len(terms) + 2), 0
     for xs in groups:
         width, op = len(xs[0].children), add if isinstance(xs[0], Sum) else mul
         flat = list(map(slot.__getitem__, map(id, kids[at:at + width * len(xs)])))
         at += width * len(xs)
         # an unsimplified empty node has one child, the identity
         columns = [flat[j::width] for j in range(width)] or [[int(op is mul)] * len(xs)]
-        top = _add_steps(steps, op, columns, top)
-        slot.update(zip(map(id, xs), range(top - len(xs), top)))
+        nodes = _add_steps(steps, op, columns, nodes.stop)
+        slot.update(zip(map(id, xs), nodes))
     plan = list(map(attrgetter("label"), terms.values())), steps
     object.__setattr__(e, "_slot_plan", plan)
     return plan
-
-
-def _planned(e: Expression) -> tuple:
-    """_plan(e); a leaf is planned as the one-child Sum over it, which has
-    its value."""
-    return _plan(e if isinstance(e, _Internal) else Sum((e,)))
 
 
 def _fold(e: Expression, leaves, zero, one, on_sum, on_product):
@@ -355,7 +357,7 @@ def _fold(e: Expression, leaves, zero, one, on_sum, on_product):
     value and sums[j] whether that child is a Sum.  A node wider than _WIDE
     is folded from the results of its chunks, and an empty node as its one
     child, the identity, so both must fold like the whole node."""
-    labels, steps = _planned(e)
+    labels, steps = _plan(e)
     vals = [zero, one, *map(leaves, labels)]
     sums = bytearray(len(vals))  # 1 at each slot that holds a Sum
     get, is_sum = vals.__getitem__, sums.__getitem__
@@ -453,7 +455,7 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     if not points:
         return []
     p = points[0].prime
-    labels, steps = _planned(e)
+    labels, steps = _plan(e)
     out = []
     for pt in points:
         try:
@@ -474,7 +476,7 @@ def labels_of(e: Expression) -> Counter:
     """Multiset of labels occurring in e (with multiplicity), in one pass
     over its slot plan's steps in reverse, parents first: each slot's print
     count is complete before it adds that count to each of its child slots."""
-    labels, steps = _planned(e)
+    labels, steps = _plan(e)
     top = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
     printed = [0] * (top - 1) + [1]  # the root, printed once
     for _, columns in reversed(steps):

@@ -117,11 +117,11 @@ def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Ex
     summands = [path[0] + 2 for path in paths]  # slot of each path's summand
     steps: list = []
     for ks in by_arity.values():
-        columns = zip(*map(paths.__getitem__, ks))
-        _make_group(made, steps, mul, [[*map(add, column, repeat(2))] for column in columns])
-        for k, at in zip(ks, range(len(made) - len(ks), len(made))):
+        columns = [[*map(add, column, repeat(2))] for column in zip(*map(paths.__getitem__, ks))]
+        slots, = _make_group(made, steps, mul, [columns])
+        for k, at in zip(ks, slots):
             summands[k] = at
-    _make_group(made, steps, add, [*zip(summands)])
+    _make_group(made, steps, add, [[*zip(summands)]])
     return _hand_over(made, labels, steps)
 
 
@@ -203,8 +203,8 @@ def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,
                            prime: int | None = None, seed: int = 0) -> bool:
     """Probabilistic check: e agrees with the path-polynomial oracle on
     `trials` random assignments.  Per-trial false-pass probability is at most
-    (n-1)/prime (degree bound over a field), so a pass is wrong with
-    probability at most ((n-1)/prime)^trials.
+    (n-1)/(prime-1) (degree bound over a field, points drawn from 1..prime-1),
+    so a pass is wrong with probability at most ((n-1)/(prime-1))^trials.
 
     The first point is checked on its own, so a wrong expression is almost
     always rejected after one pass; the remaining points then go through

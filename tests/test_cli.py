@@ -122,6 +122,15 @@ class TestVerify:
         assert result.output.splitlines() == [
             "EQUIVALENT (32 modular trials, false-pass bound 1.1e-212)"]
 
+    def test_bound_counts_points_from_1_to_p_minus_1(self, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text("(a1a2+b1)a3+a1b2\n")
+        result = run("verify", "--n", "4", "--formula", str(good), "--mode", "modeval",
+                     "--prime", "5", "--trials", "1")
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "EQUIVALENT (1 modular trials, false-pass bound 7.5e-1)"]
+
     def test_bound_does_not_underflow(self):
         result = run("verify", "--n", "64", "--mode", "modeval", "--trials", "1000")
         assert result.output.startswith("EQUIVALENT (1000 modular trials, false-pass bound ")
@@ -168,7 +177,7 @@ class TestVerify:
         result = run("verify", "--n", "9", "--mode", "modeval", "--trials", "2",
                      env={"FIBEXPR_PRIME": "11"})
         assert result.output.splitlines() == [
-            "EQUIVALENT (2 modular trials, false-pass bound 5.3e-1)"]
+            "EQUIVALENT (2 modular trials, false-pass bound 6.4e-1)"]
 
     def test_good_formula_file(self, tmp_path):
         good = tmp_path / "good.txt"

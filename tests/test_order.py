@@ -161,8 +161,10 @@ class TestHandedOverOrder:
                 assert all(0 <= s < filled for column in columns for s in column), \
                     f"{name}: a step reads a slot before it is filled"
                 filled += rows.pop()
-            assert filled - 2 - len(labels) >= len(_walk(e)) + 1, \
-                f"{name}: fewer slots than nodes"
+            object.__setattr__(e, "_slot_plan", None)
+            labels, steps = fibexpr.expr._plan(e)  # compiled, not handed over
+            compiled = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
+            assert filled == compiled, f"{name}: {filled} slots, its compiled plan {compiled}"
             checked += 1
         assert checked > 300
 

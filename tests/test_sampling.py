@@ -1,5 +1,6 @@
 """Batched modular evaluation, the batched oracle, and sampling verification."""
 
+import itertools
 import math
 import random
 import re
@@ -7,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from fibexpr.cli import false_pass_bound
 from fibexpr.decompose import GdSpec, Seeded, decompose, decompose_gd
 from fibexpr.expr import (
     Assignment,
@@ -318,6 +320,17 @@ class TestSamplingVerdicts:
 
     def test_smallest_valid_modulus(self):
         assert equivalent_by_sampling(decompose(40), 40, prime=41, trials=8)
+
+    def test_printed_bound_covers_the_exact_pass_rate(self):
+        # f + (a1-1)(a1-2)(a1-3) mod 5 at n=4: of degree n-1, and equal to f
+        # wherever a1 is 1, 2 or 3, so at 3/4 of all points
+        e = parse("a1a2a3+a1b2+b1a3+a1a1a1+a1a1+a1a1+a1a1+a1a1+a1+1+1+1+1")
+        labs = edges(4)
+        every = [Assignment(dict(zip(labs, values)), 5)
+                 for values in itertools.product(range(1, 5), repeat=len(labs))]
+        passed = sum(map(int.__eq__, evaluate_mod(e, every), oracle_eval_mod(4, every)))
+        assert (passed, len(every)) == (768, 1024)
+        assert passed / len(every) <= float(false_pass_bound(4, 1, 5))
 
 
 class TestIsPrime:
