@@ -13,9 +13,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, attrgetter, mod, mul, not_
+from functools import lru_cache, partial
+from itertools import accumulate, chain, repeat
+from operator import add, attrgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -77,9 +77,12 @@ def b(index: int) -> Label:
     return Label("b", index)
 
 
+@lru_cache(maxsize=1)
 def _edge_labels(n: int) -> list[Label]:
     """a1..a_{n-1} then b1..b_{n-2}, the edge labels of the n-vertex graph.
-    Every one of them passes Label's checks, so they are made without them."""
+    Every one of them passes Label's checks, so they are made without them.
+    The list of the last n asked for is cached and shared: callers must not
+    change it."""
     make = partial(tuple.__new__, Label)
     return [*map(make, zip(repeat("a"), range(1, n))), *map(make, zip(repeat("b"), range(1, n - 1)))]
 
@@ -163,40 +166,31 @@ Monomial = frozenset  # of Label
 MonomialSet = frozenset  # of Monomial
 
 
-def product(parts: Iterable[Expression]) -> Expression:
-    """Simplifying product constructor: flattens, absorbs UNIT, annihilates on ZERO."""
+def _flat(parts: Iterable[Expression], kind: type, identity, annihilator=None) -> Expression:
+    """kind over parts, simplified: the children of a part of the same kind
+    are taken in its place, identity is dropped, and annihilator is returned
+    as soon as it is met."""
     flat: list[Expression] = []
     for part in parts:
-        if part is ZERO:
-            return ZERO
-        if part is UNIT:
-            continue
-        if isinstance(part, Product):
+        if part is annihilator:
+            return annihilator
+        if isinstance(part, kind):
             flat.extend(part.children)
-        else:
+        elif part is not identity:
             flat.append(part)
-    if not flat:
-        return UNIT
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    if len(flat) > 1:
+        return kind(tuple(flat))
+    return flat[0] if flat else identity
+
+
+def product(parts: Iterable[Expression]) -> Expression:
+    """Simplifying product constructor: flattens, absorbs UNIT, annihilates on ZERO."""
+    return _flat(parts, Product, UNIT, ZERO)
 
 
 def sumof(parts: Iterable[Expression]) -> Expression:
     """Simplifying sum constructor: flattens and drops ZERO summands."""
-    flat: list[Expression] = []
-    for part in parts:
-        if part is ZERO:
-            continue
-        if isinstance(part, Sum):
-            flat.extend(part.children)
-        else:
-            flat.append(part)
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
+    return _flat(parts, Sum, ZERO)
 
 
 @dataclass
@@ -295,24 +289,14 @@ def _hand_over(made: list, labels: list, steps: list) -> _Internal:
     return e
 
 
-def _depth_groups(e: _Internal) -> list:
-    """The nodes below e grouped by (height, kind, arity), lowest height
-    first, so every node's internal children sit in earlier groups."""
-    height: dict[int, int] = {}
-    groups: dict[tuple, list] = {}
-    get, zeros = height.get, repeat(0)
-    for x in _walk(e):
-        h = height[id(x)] = max(map(get, map(id, x.children), zeros), default=0) + 1
-        groups.setdefault((h, type(x) is Sum, len(x.children)), []).append(x)
-    return [groups[key] for key in sorted(groups)]
-
-
 def _plan(e: Expression) -> tuple:
     """e's slot plan (labels, steps), the program that every fold of e runs
     over a list of value slots.  A builder hands it over with its root; any
-    other root is grouped by height in one pass, compiled on first use and
-    cached.  A leaf is planned as the one-child Sum over it, which has its
-    value.
+    other root is compiled on first use, in one pass over its distinct nodes
+    children first, and cached.  That pass gives each label a slot as it
+    first appears and groups the nodes by (height, kind, arity); the root,
+    alone at the greatest height, is the last group.  A leaf is planned as
+    the one-child Sum over it, which has its value.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns) then appends one value per
@@ -325,24 +309,26 @@ def _plan(e: Expression) -> tuple:
     plan = e._slot_plan
     if plan is not None:
         return plan
-    groups = [*_depth_groups(e), [e]]
-    kids = list(chain.from_iterable(map(attrgetter("children"), chain.from_iterable(groups))))
-    leaves = list(compress(kids, map(not_, map(isinstance, kids, repeat(_Internal)))))
-    terms = dict(zip(map(id, leaves), leaves))  # each distinct leaf once
-    terms.pop(id(ZERO), None)
-    terms.pop(id(UNIT), None)
-    slot = dict(zip(terms, count(2)))
-    slot[id(ZERO)], slot[id(UNIT)] = 0, 1
-    steps, nodes, at = [], range(len(terms) + 2), 0
-    for xs in groups:
-        width, op = len(xs[0].children), add if isinstance(xs[0], Sum) else mul
-        flat = list(map(slot.__getitem__, map(id, kids[at:at + width * len(xs)])))
-        at += width * len(xs)
+    slot, labels, height, groups = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}
+    for x in chain(_walk(e), (e,)):
+        h = 0
+        for c in x.children:
+            if isinstance(c, _Internal):
+                h = max(h, height[id(c)])
+            elif id(c) not in slot:
+                slot[id(c)] = len(labels) + 2
+                labels.append(c.label)
+        height[id(x)] = h + 1
+        groups.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
+    steps, nodes = [], range(len(labels) + 2)
+    for key in sorted(groups):
+        xs, op = groups[key], add if key[1] else mul
+        columns = [[*map(slot.__getitem__, map(id, column))]
+                   for column in zip(*map(attrgetter("children"), xs))]
         # an unsimplified empty node has one child, the identity
-        columns = [flat[j::width] for j in range(width)] or [[int(op is mul)] * len(xs)]
-        nodes = _add_steps(steps, op, columns, nodes.stop)
+        nodes = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], nodes.stop)
         slot.update(zip(map(id, xs), nodes))
-    plan = list(map(attrgetter("label"), terms.values())), steps
+    plan = labels, steps
     object.__setattr__(e, "_slot_plan", plan)
     return plan
 

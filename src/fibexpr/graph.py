@@ -50,7 +50,7 @@ def _check_n(n: int, minimum: int = 1):
 def edges(n: int) -> list[Label]:
     """All edge labels of the n-vertex graph: a1..a_{n-1} then b1..b_{n-2}."""
     _check_n(n)
-    return _edge_labels(n)
+    return list(_edge_labels(n))
 
 
 def _path_count(n: int, bound: float) -> int:

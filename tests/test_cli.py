@@ -192,6 +192,17 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.splitlines() == ["NOT EQUIVALENT (32 modular trials)"]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("text", ["a1a2+b1+1+1+1+1+1", "a1a1a1a1a1a2+b1"])
+    def test_formula_equal_only_modulo_the_prime_is_not_equivalent(self, tmp_path, text):
+        # each equals the path polynomial a1a2+b1 modulo 5 but not over the
+        # integers, which --mode expand reports
+        formula = tmp_path / "f.txt"
+        formula.write_text(text + "\n")
+        result = run("verify", "--n", "3", "--formula", str(formula), "--mode", "modeval",
+                     "--prime", "5")
+        assert result.exit_code == 1
+
     def test_duplicate_monomial_is_not_equivalent(self, tmp_path):
         formula = tmp_path / "f.txt"
         formula.write_text("(a1+b1)(a2+1)+b1\n")

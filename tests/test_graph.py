@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fibexpr.decompose import decompose
 from fibexpr.expr import (
     Assignment,
     SizeExceeded,
@@ -42,6 +43,20 @@ class TestEdges:
     def test_invalid_n(self):
         with pytest.raises(InvalidN):
             edges(0)
+
+    def test_changing_the_returned_list_changes_no_later_result(self):
+        # edges(n) hands out a copy of the cached labels that decompose(n)
+        # plans over and oracle_eval_mod(n, ...) reads
+        n = 9
+        want = [a(i) for i in range(1, n)] + [b(i) for i in range(1, n - 1)]
+        pt = Assignment.random(want, 10007, random.Random(0))
+        value = oracle_eval_mod(n, pt)
+        changed = edges(n)
+        changed.reverse()
+        changed[0] = a(99)
+        assert edges(n) == want
+        assert decompose(n)._slot_plan[0] == want
+        assert oracle_eval_mod(n, pt) == value
 
 
 class TestPathCount:

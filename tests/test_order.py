@@ -320,8 +320,8 @@ class TestSlotPlan:
             assert e._slot_plan is plan, name
 
     def test_handed_over_plan_evaluates_like_a_compiled_one(self, monkeypatch):
-        def no_depth_pass(e):
-            raise AssertionError("a builder root was grouped by height")
+        def no_walk(e, hashed=False):
+            raise AssertionError("a builder root was walked for its plan")
 
         for index, (name, e) in enumerate(built_roots()):
             if not internal(e):
@@ -333,7 +333,7 @@ class TestSlotPlan:
             pts = [distinct[k % 4] for k in range(31)]
             want = [values[k % 4] for k in range(31)]
             with monkeypatch.context() as patch:
-                patch.setattr(fibexpr.expr, "_depth_groups", no_depth_pass)
+                patch.setattr(fibexpr.expr, "_walk", no_walk)
                 handed = [evaluate_mod(e, pts[:k]) for k in (1, 2, 31)]
             object.__setattr__(e, "_slot_plan", None)
             compiled = [evaluate_mod(e, pts[:k]) for k in (1, 2, 31)]
