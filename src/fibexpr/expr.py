@@ -384,8 +384,9 @@ def metric_plus(e: Expression) -> int:
     return _fold(e, lambda label: 0, 0, 0, _total_with_plus, lambda values, sums: _total(values))
 
 
-def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> MonomialSet:
-    """Distributive expansion of e as a set of monomials (label sets).
+def expand(e: Expression) -> MonomialSet:
+    """Distributive expansion of e as a set of monomials (label sets); a node
+    of more than DEFAULT_EXPANSION_BOUND monomials raises SizeExceeded.
 
     Raises DuplicateMonomial if any monomial arises twice: a well-formed
     factoring of a path polynomial has all coefficients equal to one.  A
@@ -398,8 +399,8 @@ def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> Monom
     """
 
     def combine_sum(lists) -> list:
-        if sum(map(len, lists)) > max_monomials:
-            raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+        if sum(map(len, lists)) > DEFAULT_EXPANSION_BOUND:
+            raise SizeExceeded(f"expansion exceeds {DEFAULT_EXPANSION_BOUND} monomials")
         out = [*chain.from_iterable(lists)]
         if len(set(out)) != len(out):
             seen: set = set()
@@ -414,8 +415,8 @@ def expand(e: Expression, max_monomials: int = DEFAULT_EXPANSION_BOUND) -> Monom
         for factor in (factor for factor in lists if len(factor) != 1):
             labels = labels * len(factor) + size * sum(map(len, factor))
             size *= len(factor)
-            if size > max_monomials:
-                raise SizeExceeded(f"expansion exceeds {max_monomials} monomials")
+            if size > DEFAULT_EXPANSION_BOUND:
+                raise SizeExceeded(f"expansion exceeds {DEFAULT_EXPANSION_BOUND} monomials")
             acc = [m1 | m2 for m1 in acc for m2 in factor]
         if sum(map(len, acc)) != labels:  # some two factors' monomials share a label
             shared = next(m1 & m2 for k, factor in enumerate(lists) for later in lists[k + 1:]

@@ -70,42 +70,43 @@ def path_count(n: int) -> int:
     return _path_count(n, float("inf"))
 
 
-def _paths(n: int, max_paths: int) -> list[tuple]:
+def _paths(n: int) -> list[tuple]:
     """Every path as the indices of its edges in _edge_labels(n) (a_v is
     v-1, b_v is n+v-2), source to sink, by one suffix recurrence:
     P(v) = [a_v + p for p in P(v+1)] + [b_v + p for p in P(v+2)], P(n) = [()],
     P(n+1) = [].  The a-step comes first, so the paths come in lexicographic
-    order of vertex sequences.  They are counted against max_paths first."""
+    order of vertex sequences.  They are counted against
+    DEFAULT_EXPANSION_BOUND first."""
     _check_n(n)
-    _path_count(n, max_paths)
+    _path_count(n, DEFAULT_EXPANSION_BOUND)
     after, here = [], [()]  # P(v+2), P(v+1)
     for v in range(n - 1, 0, -1):
         after, here = here, [*map((v - 1,).__add__, here), *map((n + v - 2,).__add__, after)]
     return here
 
 
-def enumerate_paths(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[frozenset]:
+def enumerate_paths(n: int) -> list[frozenset]:
     """All source-to-sink paths as label sets, ordered lexicographically by
     vertex sequence (the a-step is tried before the b-step)."""
-    paths = _paths(n, max_paths)
+    paths = _paths(n)
     label = _edge_labels(n).__getitem__
     return [frozenset(map(label, path)) for path in paths]
 
 
-def path_vertex_sequences(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> list[tuple]:
+def path_vertex_sequences(n: int) -> list[tuple]:
     """Vertex sequences of all paths, in the same order as enumerate_paths."""
-    paths = _paths(n, max_paths)
+    paths = _paths(n)
     head = [*range(2, n + 1), *range(3, n + 1)].__getitem__  # by edge index
     return [(1, *map(head, path)) for path in paths]
 
 
-def canonical_expression(n: int, max_paths: int = DEFAULT_EXPANSION_BOUND) -> Expression:
+def canonical_expression(n: int) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
     their edge labels, labels in source-to-sink order.  The path products
     are made by arity, one node per row of label slots, and the slot plan is
     handed over with the root (see decompose._build)."""
     _check_n(n, minimum=2)
-    paths = _paths(n, max_paths)
+    paths = _paths(n)
     labels = _edge_labels(n)
     made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: edge index k at k+2
     if n == 2:
@@ -150,14 +151,13 @@ def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
     return out[0] if isinstance(v, Assignment) else out
 
 
-def equivalent_by_expansion(e: Expression, n: int,
-                            max_monomials: int = DEFAULT_EXPANSION_BOUND) -> bool:
+def equivalent_by_expansion(e: Expression, n: int) -> bool:
     """Exact check: does e expand to the path set of the n-vertex graph?
 
     The paths come first, so an n with too many paths raises SizeExceeded
     before e is expanded."""
-    paths = enumerate_paths(n, max_monomials)
-    return expand(e, max_monomials) == frozenset(paths)
+    paths = enumerate_paths(n)
+    return expand(e) == frozenset(paths)
 
 
 # Bases that make Miller-Rabin exact below 3.18 * 10^23, well past 2^64.

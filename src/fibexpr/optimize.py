@@ -181,7 +181,7 @@ class SpecialValuesReport:
     n_max: int
     special: list  # all special n <= n_max, ascending
     groups: list   # (n_first, n_last) per consecutive run
-    groups_ok: bool  # runs match n_first_v = 2 n_first_{v-1} - 1, n_last_v = 2 n_last_{v-1} + 1
+    groups_ok: bool  # groups == the paper's (7, 7), (2f-1, 2l+1) per (f, l), cut at n_max
 
 
 def special_values(n_max: int) -> SpecialValuesReport:
@@ -206,14 +206,11 @@ def special_values(n_max: int) -> SpecialValuesReport:
         else:
             groups.append((n, n))
 
-    groups_ok = bool(groups) and groups[0][0] == 7
-    for (f0, l0), (f1, l1) in zip(groups, groups[1:]):
-        # the last group may be cut off by n_max before reaching its true end
-        if f1 != 2 * f0 - 1 or (l1 != 2 * l0 + 1 and l1 != n_max):
-            groups_ok = False
-    if groups and groups[0] != (7, 7) and groups[0][1] != n_max:
-        groups_ok = False
-    return SpecialValuesReport(n_max, special, groups, groups_ok)
+    paper, f, l = [], 7, 7
+    while f <= n_max:
+        paper.append((f, min(l, n_max)))
+        f, l = 2 * f - 1, 2 * l + 1
+    return SpecialValuesReport(n_max, special, groups, groups == paper)
 
 
 def gd_expression(n: int, m: int) -> Expression:

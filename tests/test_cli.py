@@ -211,6 +211,18 @@ class TestVerify:
         assert result.output.startswith("NOT EQUIVALENT (2 monomials; ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_a_product_past_the_path_count_is_not_equivalent(
+            self, tmp_path, monkeypatch):
+        # 2^10 monomials against 3 paths: not equivalent, whatever the bound,
+        # yet expand builds the product until it passes the bound
+        monkeypatch.setattr("fibexpr.expr.DEFAULT_EXPANSION_BOUND", 100)
+        formula = tmp_path / "f.txt"
+        formula.write_text("".join(f"(a{k}+b{k})" for k in range(1, 11)) + "\n")
+        result = run("verify", "--n", "3", "--formula", str(formula), "--mode", "expand")
+        assert result.exit_code == 1
+        assert result.output.startswith("NOT EQUIVALENT")
+
 
 @pytest.mark.parametrize("args, message", [
     ("expr --n 0", "need an integer n >= 1, got 0"),

@@ -16,6 +16,7 @@ from fibexpr.expr import (
     Label,
     ParseError,
     Product,
+    SizeExceeded,
     Sum,
     Term,
     UNIT,
@@ -151,6 +152,16 @@ class TestExpand:
     def test_shared_label_product_collision_is_an_error(self):
         with pytest.raises(DuplicateMonomial):
             expand(parse("(a1+a1a2)(a2+1)"))
+
+    @pytest.mark.parametrize("within, past", [
+        ("a1+a2+a3", "a1+a2+a3+a4"),  # the sum's check
+        ("(a1+b1)a2+a3", "(a1+b1)(a2+b2)"),  # the product's check
+    ])
+    def test_size_bound(self, monkeypatch, within, past):
+        monkeypatch.setattr("fibexpr.expr.DEFAULT_EXPANSION_BOUND", 3)
+        assert len(expand(parse(within))) == 3
+        with pytest.raises(SizeExceeded, match="^expansion exceeds 3 monomials$"):
+            expand(parse(past))
 
     @pytest.mark.parametrize("text, message", [
         ("(a1+a1a2)(a2+1)", "label repeated within a monomial: ['a2']"),

@@ -94,11 +94,13 @@ class TestEnumeratePaths:
         seqs = path_vertex_sequences(10)
         assert seqs == sorted(seqs)
 
-    def test_bound(self):
-        with pytest.raises(SizeExceeded):
-            enumerate_paths(40, max_paths=1000)
-        with pytest.raises(SizeExceeded):
-            path_vertex_sequences(40, max_paths=1000)
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr("fibexpr.graph.DEFAULT_EXPANSION_BOUND", 987)
+        assert len(enumerate_paths(16)) == 987
+        for refuse in (enumerate_paths, path_vertex_sequences, canonical_expression):
+            with pytest.raises(SizeExceeded,
+                               match="^n=17: the number of paths exceeds bound 987$"):
+                refuse(17)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_recursive_walk(self, n):

@@ -107,7 +107,8 @@ def half_offset_scan(n, metric):
 
 
 def reference_special(n_max, is_special):
-    """Special values up to n_max and their groups, as special_values did."""
+    """Special values up to n_max, their runs, and whether the runs are the
+    paper's groups (7, 7), (2f-1, 2l+1), ... cut at n_max."""
     special = [n for n in range(7, n_max + 1) if is_special[n]]
     groups = []
     for n in special:
@@ -115,13 +116,11 @@ def reference_special(n_max, is_special):
             groups[-1] = (groups[-1][0], n)
         else:
             groups.append((n, n))
-    groups_ok = bool(groups) and groups[0][0] == 7
-    for (f0, l0), (f1, l1) in zip(groups, groups[1:]):
-        if f1 != 2 * f0 - 1 or (l1 != 2 * l0 + 1 and l1 != n_max):
-            groups_ok = False
-    if groups and groups[0] != (7, 7) and groups[0][1] != n_max:
-        groups_ok = False
-    return special, groups, groups_ok
+    paper, f, l = [], 7, 7
+    while f <= n_max:
+        paper.append((f, min(l, n_max)))
+        f, l = 2 * f - 1, 2 * l + 1
+    return special, groups, groups == paper
 
 
 def reference_recurrence(n_max, at_2):
@@ -384,6 +383,16 @@ class TestSpecialValues:
         report = special_values(20000)
         assert report.groups[-2:] == [(6145, 8191), (12289, 16383)]
         assert report.groups_ok
+
+    def test_a_missing_group_breaks_the_fit(self, monkeypatch):
+        # Every interior vertex in the middle set from q - p = 39 on, so no
+        # n >= 40 is special and the group 49..63 is missing.
+        monkeypatch.setattr(optimize, "middle_vertices",
+                            lambda p, q: set(range(p + 1, q)) if q - p >= 39
+                            else middle_vertices(p, q))
+        report = special_values(63)
+        assert report.groups == [(7, 7), (13, 15), (25, 31)]
+        assert not report.groups_ok
 
 
 class TestExponentFit:
