@@ -28,7 +28,7 @@ class ExprError(ValueError):
 
 
 class SizeExceeded(ExprError):
-    """An expansion or enumeration grew past its configured bound."""
+    """An expansion, enumeration or build grew past its size bound."""
 
 
 class DuplicateMonomial(ExprError):
