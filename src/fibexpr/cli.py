@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ import click
 from . import __version__
 from .expr import (
     DEFAULT_PRIME,
-    DuplicateMonomial,
     ExprError,
     ParseError,
     format_expression,
@@ -28,12 +26,7 @@ from .expr import (
     metric_terms,
     parse,
 )
-from .graph import (
-    check_sampling,
-    equivalent_by_expansion,
-    equivalent_by_sampling,
-    path_count,
-)
+from .graph import check_sampling, verify
 from .optimize import (
     build_expression,
     complexity_table,
@@ -49,27 +42,11 @@ METHODS = ("canonical", "middle", "fixed", "leftmost", "seeded", "gd")
 
 
 def default_prime() -> int:
-    raw = os.environ.get("FIBEXPR_PRIME")
-    if raw is None:
-        return DEFAULT_PRIME
+    raw = os.environ.get("FIBEXPR_PRIME", str(DEFAULT_PRIME))
     try:
         return int(raw)
     except ValueError:
         raise click.UsageError(f"FIBEXPR_PRIME must be an integer, got {raw!r}")
-
-
-def false_pass_bound(n: int, trials: int, prime: int) -> str:
-    """((n-1)/(prime-1))^trials in short scientific notation, computed
-    through its logarithm so that no bound underflows to zero.  Points come
-    from the prime-1 values 1..prime-1 (see graph.check_sampling)."""
-    if n == 1:
-        return "0"
-    exponent = trials * math.log10((n - 1) / (prime - 1))
-    whole = math.floor(exponent)
-    mantissa = 10 ** (exponent - whole)
-    if round(mantissa, 1) >= 10:
-        mantissa, whole = mantissa / 10, whole + 1
-    return f"{mantissa:.1f}e{whole}"
 
 
 def _write(path: Path, text: str) -> None:
@@ -175,22 +152,9 @@ def cmd_verify(n, method, m, tie, seed, vertex, mode, trials, prime, formula_fil
             raise click.UsageError(f"cannot parse {formula_file}: {exc}")
     else:
         e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
-    if mode == "expand":
-        try:
-            ok, failure = equivalent_by_expansion(e, n), ""
-        except DuplicateMonomial as exc:  # a coefficient above one
-            ok, failure = False, f"; {exc}"
-        # the paths were enumerated by now, so their count is within the bound
-        detail = f"{path_count(n)} monomials{failure}"
-    else:
-        ok = equivalent_by_sampling(e, n, trials=trials, prime=prime, seed=0)
-        detail = f"{trials} modular trials"
-    if ok:
-        if mode == "modeval":
-            detail += f", false-pass bound {false_pass_bound(n, trials, prime)}"
-        click.echo(f"EQUIVALENT ({detail})")
-    else:
-        click.echo(f"NOT EQUIVALENT ({detail})")
+    verdict = verify(e, n, mode, trials=trials, prime=prime)
+    click.echo(str(verdict))
+    if not verdict.equivalent:
         sys.exit(1)
 
 

@@ -1,5 +1,5 @@
-"""Fibonacci graph model: edges, path enumeration, the canonical (sequential
-paths) expression, and a linear-time modular oracle for the path polynomial.
+"""Fibonacci graph model: edges, paths, the canonical (sequential paths)
+expression, a linear-time modular path-polynomial oracle, and verify.
 
 The n-vertex Fibonacci graph has vertices 1..n, edges a_v = (v, v+1) for
 v < n and b_v = (v, v+2) for v < n-1.  Everything is determined by n, so
@@ -8,8 +8,10 @@ graphs are passed around as a bare integer.
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -17,6 +19,7 @@ from .expr import (
     Assignment,
     DEFAULT_EXPANSION_BOUND,
     DEFAULT_PRIME,
+    DuplicateMonomial,
     Expression,
     ExprError,
     Label,
@@ -151,15 +154,6 @@ def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
     return out[0] if isinstance(v, Assignment) else out
 
 
-def equivalent_by_expansion(e: Expression, n: int) -> bool:
-    """Exact check: does e expand to the path set of the n-vertex graph?
-
-    The paths come first, so an n with too many paths raises SizeExceeded
-    before e is expanded."""
-    paths = enumerate_paths(n)
-    return expand(e) == frozenset(paths)
-
-
 # Bases that make Miller-Rabin exact below 3.18 * 10^23, well past 2^64.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -188,42 +182,91 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def check_sampling(n: int, trials: int, prime: int):
+def check_sampling(n: int, trials: int, prime: int) -> float:
     """Raise InvalidSampling unless `trials` >= 1 and `prime` is a prime
     above n.  Points come from the prime-1 values 1..prime-1, so a nonzero
     difference of degree at most n-1 vanishes at one with probability at
-    most (n-1)/(prime-1), which is below 1 only for a prime above n."""
+    most (n-1)/(prime-1), which is below 1 only for a prime above n.  Returns
+    log10 of the bound ((n-1)/(prime-1))^trials, -inf at n = 1."""
     if not isinstance(trials, int) or trials < 1:
         raise InvalidSampling(f"need at least one trial, got {trials!r}")
     if not isinstance(prime, int) or prime <= n or not is_prime(prime):
         raise InvalidSampling(f"modulus must be a prime greater than n = {n}, got {prime!r}")
+    return trials * math.log10((n - 1) / (prime - 1)) if n > 1 else -math.inf
+
+
+def _scientific(exponent: float) -> str:
+    """10^exponent as "1.1e-212" ("0" for -inf), never forming the power."""
+    if exponent == -math.inf:
+        return "0"
+    whole = math.floor(exponent)
+    mantissa, carry = f"{10 ** (exponent - whole):.1e}".split("e")  # carry: 9.96 -> 1.0e+01
+    return f"{mantissa}e{whole + int(carry)}"
+
+
+def false_pass_bound(n: int, trials: int, prime: int) -> str:
+    """The bound ((n-1)/(prime-1))^trials of check_sampling, as "1.1e-212"."""
+    return _scientific(check_sampling(n, trials, prime))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What verify found; str() is the line `fibexpr verify` prints.  "expand" sets
+    monomials and reason, "modeval" trials, prime and log10_bound (check_sampling)."""
+
+    equivalent: bool
+    mode: str
+    reason: str = ""
+    monomials: int | None = None
+    trials: int | None = None
+    prime: int | None = None
+    log10_bound: float | None = None
+
+    def __str__(self) -> str:
+        if self.mode == "expand":
+            detail = f"{self.monomials} monomials" + (f"; {self.reason}" if self.reason else "")
+        else:
+            detail = f"{self.trials} modular trials" + (
+                f", false-pass bound {_scientific(self.log10_bound)}" if self.equivalent else "")
+        return f"{'' if self.equivalent else 'NOT '}EQUIVALENT ({detail})"
+
+
+def verify(e: Expression, n: int, mode: str = "expand", *, trials: int = 32,
+           prime: int | None = None, seed: int = 0) -> Verdict:
+    """Check e against the path polynomial f of the n-vertex graph: "expand"
+    compares e's monomials with the paths (enumerated first, so too many raise
+    SizeExceeded at once); "modeval" compares e with the oracle at `trials`
+    points from `seed`, the first alone (it rejects almost any wrong e), then
+    32 at a time.  Its bound ((n-1)/(prime-1))^trials (see check_sampling)
+    assumes deg(e - f) <= n-1, as in every builder root; a parsed formula can
+    equal f modulo the prime without equalling it.  A monomial that arises
+    twice, or a label off the graph, gives False."""
+    if mode == "expand":
+        paths = enumerate_paths(n)
+        try:
+            return Verdict(expand(e) == frozenset(paths), mode, monomials=len(paths))
+        except DuplicateMonomial as exc:
+            return Verdict(False, mode, str(exc), monomials=len(paths))
+    if mode != "modeval":
+        raise ExprError(f"unknown verification mode {mode!r}")
+    prime = DEFAULT_PRIME if prime is None else prime
+    rng, labs = random.Random(seed), edges(n)
+    log10_bound = check_sampling(n, trials, prime)
+    points = (Assignment.random(labs, prime, rng) for _ in range(trials))  # drawn lazily
+    batches = chain([[next(points)]], iter(lambda: list(islice(points, 32)), []))
+    try:
+        ok = all(evaluate_mod(e, batch) == oracle_eval_mod(n, batch) for batch in batches)
+    except UnassignedLabel:  # e uses an edge the graph does not have
+        ok = False
+    return Verdict(ok, mode, trials=trials, prime=prime, log10_bound=log10_bound)
+
+
+def equivalent_by_expansion(e: Expression, n: int) -> bool:
+    """verify(e, n).equivalent: False, not DuplicateMonomial, for a repeated monomial."""
+    return verify(e, n).equivalent
 
 
 def equivalent_by_sampling(e: Expression, n: int, trials: int = 32,
                            prime: int | None = None, seed: int = 0) -> bool:
-    """Probabilistic check: e agrees with the path-polynomial oracle on
-    `trials` random assignments.  Per-trial false-pass probability is at most
-    (n-1)/(prime-1) (degree bound over a field, points drawn from 1..prime-1),
-    so a pass is wrong with probability at most ((n-1)/(prime-1))^trials.
-
-    The first point is checked on its own, so a wrong expression is almost
-    always rejected after one pass; the remaining points then go through
-    evaluate_mod and the oracle as one batch.  Points are drawn from `seed`
-    in trial order, so the verdict is that of checking one point per trial.
-    An expression with a label that is not an edge of the graph is not
-    equivalent.
-    """
-    prime = DEFAULT_PRIME if prime is None else prime
-    _check_n(n)
-    check_sampling(n, trials, prime)
-    rng = random.Random(seed)
-    labs = edges(n)
-    first = [Assignment.random(labs, prime, rng)]
-    try:
-        value = evaluate_mod(e, first)
-    except UnassignedLabel:  # e uses an edge the graph does not have
-        return False
-    if value != oracle_eval_mod(n, first):
-        return False
-    rest = [Assignment.random(labs, prime, rng) for _ in range(trials - 1)]
-    return not rest or evaluate_mod(e, rest) == oracle_eval_mod(n, rest)
+    """verify(e, n, "modeval", ...).equivalent."""
+    return verify(e, n, "modeval", trials=trials, prime=prime, seed=seed).equivalent

@@ -24,7 +24,7 @@ from . import graph
 from .decompose import (FixedMap, GdSpec, Leftmost, MiddleHigh, MiddleLow, Seeded, decompose,
                         decompose_gd)
 from .expr import ExprError, Expression, metric_plus, metric_terms
-from .graph import _check_n, equivalent_by_expansion, equivalent_by_sampling
+from .graph import _check_n, verify
 
 
 class DegenerateFit(ExprError):
@@ -280,10 +280,7 @@ def complexity_table(n_max: int, method: str = "middle") -> list[ComplexityRecor
     rows = []
     for n in range(2, n_max + 1):
         e = build_expression(n, method)
-        if n <= 14:
-            equivalent = equivalent_by_expansion(e, n)
-        else:
-            equivalent = equivalent_by_sampling(e, n, trials=8)
+        equivalent = verify(e, n, "expand" if n <= 14 else "modeval", trials=8).equivalent
         rows.append(ComplexityRecord(n, method, metric_terms(e), metric_plus(e),
                                      recurrence_T(n), recurrence_P(n), equivalent))
     return rows

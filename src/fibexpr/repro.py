@@ -23,12 +23,7 @@ from .expr import (
     sp_parallel,
     sp_series,
 )
-from .graph import (
-    canonical_expression,
-    enumerate_paths,
-    equivalent_by_expansion,
-    equivalent_by_sampling,
-)
+from .graph import canonical_expression, enumerate_paths, verify
 from .optimize import (
     build_expression,
     exponent_fit,
@@ -116,12 +111,12 @@ def crit_equivalence_sweep():
     for method, kwargs in small:
         for n in range(2, 15):
             e = build_expression(n, method, **kwargs)
-            if not equivalent_by_expansion(e, n):
+            if not verify(e, n).equivalent:
                 return False, f"expansion mismatch: {method} {kwargs} n={n}"
     for n in (100, 512, 1024):
         for method, kwargs in (("middle", {}), ("gd", {"m": 3})):
             e = build_expression(n, method, **kwargs)
-            if not equivalent_by_sampling(e, n, trials=32, seed=n):
+            if not verify(e, n, "modeval", trials=32, seed=n).equivalent:
                 return False, f"modular mismatch: {method} {kwargs} n={n}"
     return True, "all methods n<=14 by expansion; n in {100,512,1024} by 32 trials"
 

@@ -193,13 +193,15 @@ class TestVerify:
         assert result.output.splitlines() == ["NOT EQUIVALENT (32 modular trials)"]
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-    @pytest.mark.parametrize("text", ["a1a2+b1+1+1+1+1+1", "a1a1a1a1a1a2+b1"])
-    def test_formula_equal_only_modulo_the_prime_is_not_equivalent(self, tmp_path, text):
-        # each equals the path polynomial a1a2+b1 modulo 5 but not over the
-        # integers, which --mode expand reports
+    @pytest.mark.parametrize("n, text", [
+        ("3", "a1a2+b1+1+1+1+1+1"), ("3", "a1a1a1a1a1a2+b1"), ("1", "1+1+1+1+1+1")])
+    def test_formula_equal_only_modulo_the_prime_is_not_equivalent(self, tmp_path, n, text):
+        # each equals the path polynomial (a1a2+b1 at n=3, 1 at n=1) modulo 5
+        # but not over the integers, which --mode expand reports; at n=1 the
+        # printed bound is 0, a claim of certainty
         formula = tmp_path / "f.txt"
         formula.write_text(text + "\n")
-        result = run("verify", "--n", "3", "--formula", str(formula), "--mode", "modeval",
+        result = run("verify", "--n", n, "--formula", str(formula), "--mode", "modeval",
                      "--prime", "5")
         assert result.exit_code == 1
 

@@ -4,15 +4,17 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from fibexpr.cli import false_pass_bound
+import fibexpr.graph
 from fibexpr.decompose import GdSpec, Seeded, decompose, decompose_gd
 from fibexpr.expr import (
     Assignment,
     DuplicateMonomial,
+    ExprError,
     Product,
     Sum,
     Term,
@@ -24,6 +26,7 @@ from fibexpr.expr import (
     evaluate_mod,
     expand,
     format_expression,
+    formula_length,
     labels_of,
     metric_plus,
     metric_terms,
@@ -33,12 +36,17 @@ from fibexpr.expr import (
 )
 from fibexpr.graph import (
     InvalidSampling,
+    Verdict,
     canonical_expression,
     edges,
+    equivalent_by_expansion,
     equivalent_by_sampling,
+    false_pass_bound,
     is_prime,
     oracle_eval_mod,
+    verify,
 )
+from test_order import built_roots
 
 PRIME = 10007
 
@@ -331,6 +339,79 @@ class TestSamplingVerdicts:
         passed = sum(map(int.__eq__, evaluate_mod(e, every), oracle_eval_mod(4, every)))
         assert (passed, len(every)) == (768, 1024)
         assert passed / len(every) <= float(false_pass_bound(4, 1, 5))
+
+
+def verified_roots():
+    """(name, n, root) for every root of test_order.built_roots() and, where
+    its text is short enough to parse, its parsed copy (leftmost texts grow
+    exponentially, to 1.7 * 10^13 characters at n=60)."""
+    for name, e in built_roots():
+        n = int(re.search(r"\((\d+)", name)[1])
+        yield name, n, e
+        if formula_length(e) <= 20_000:
+            yield f"parse({name})", n, parse(format_expression(e))
+
+
+class TestVerify:
+    def test_verdicts_agree_with_the_oracle_on_every_built_root(self):
+        for name, n, root in verified_roots():
+            point = points(n, 1, seed=n)
+            for e in (root, sumof([root, UNIT])):  # the second is off by the constant 1
+                truth = evaluate_mod(e, point) == oracle_eval_mod(n, point)
+                assert truth == (e is root), name
+                assert verify(e, n, "modeval", trials=2, seed=n).equivalent == truth, name
+                assert equivalent_by_sampling(e, n, trials=2, seed=n) == truth, name
+                if n <= 14:
+                    assert verify(e, n, "expand").equivalent == truth, name
+                    assert equivalent_by_expansion(e, n) == truth, name
+
+    def test_a_repeated_monomial_is_a_reason_not_an_exception(self):
+        e = parse("(a1+b1)(a2+1)+b1")
+        reason = "monomial appears in two summands: ['b1']"
+        assert verify(e, 3) == Verdict(False, "expand", reason, monomials=2)
+        assert equivalent_by_expansion(e, 3) is False
+
+    def test_modeval_reports_trials_prime_and_bound(self):
+        verdict = verify(decompose(64), 64, "modeval", trials=40)
+        assert (verdict.equivalent, verdict.trials, verdict.prime) == (True, 40, 2**31 - 1)
+        assert verdict.log10_bound == pytest.approx(40 * math.log10(63 / (2**31 - 2)))
+        assert verify(UNIT, 1, "modeval").log10_bound == -math.inf
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ExprError, match="unknown verification mode 'exact'"):
+            verify(decompose(5), 5, "exact")
+
+    @pytest.mark.parametrize("trials, sizes", [
+        (1, [1]), (32, [1, 31]), (33, [1, 32]), (70, [1, 32, 32, 5])])
+    def test_points_go_one_then_32_at_a_time_in_draw_order(self, monkeypatch, trials, sizes):
+        batches, evaluate = [], fibexpr.graph.evaluate_mod
+
+        def recording(e, batch):
+            batches.append(batch)
+            return evaluate(e, batch)
+
+        monkeypatch.setattr(fibexpr.graph, "evaluate_mod", recording)
+        assert verify(decompose(20), 20, "modeval", trials=trials, prime=PRIME, seed=5).equivalent
+        assert [len(batch) for batch in batches] == sizes
+        assert [pt for batch in batches for pt in batch] == points(20, trials, seed=5)
+
+    def test_memory_stays_bounded_as_trials_grow(self, monkeypatch):
+        # evaluation is stubbed to agree, so every point is drawn and the
+        # peak is the points' own: about 9.4 KB each at n=64, so 18 MB when
+        # all 2,000 are drawn at once
+        def agree(_, batch):
+            return [0] * len(batch)
+
+        monkeypatch.setattr(fibexpr.graph, "evaluate_mod", agree)
+        monkeypatch.setattr(fibexpr.graph, "oracle_eval_mod", agree)
+        e = decompose(64)
+        tracemalloc.start()
+        try:
+            assert equivalent_by_sampling(e, 64, trials=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestIsPrime:
