@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -58,6 +59,20 @@ def _write(path: Path, text: str) -> None:
         raise ExprError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _exact_int_strings():
+    """Lift the interpreter's limit on the digits of int <-> str (CPython
+    3.10.7+) inside the block, so metrics of any size print; restore it after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _method_opts(fn):
     fn = click.option("--method", type=click.Choice(METHODS), default="middle",
                       show_default=True)(fn)
@@ -102,30 +117,31 @@ def cmd_expr(n, method, m, tie, seed, vertex, fmt, out):
     The text of the formula is built only when it is written to --out or is
     short enough to print; otherwise only its length is computed."""
     e = build_expression(n, method, m=m, tie=tie, seed=seed, vertex=vertex)
-    length = formula_length(e)
-    if out is not None and length > MAX_FORMULA_FILE:
-        raise ExprError(f"formula of {length} characters exceeds --out bound {MAX_FORMULA_FILE}")
-    terms, plus = metric_terms(e), metric_plus(e)
-    show_inline = length <= MAX_CONSOLE_FORMULA
-    formula = format_expression(e) if show_inline or out is not None else None
-    if out is not None:
-        _write(out, formula + "\n")
-    if fmt == "json":
-        payload = {"n": n, "method": method, "terms": terms, "plus": plus}
-        if show_inline:
-            payload["formula"] = formula
+    with _exact_int_strings():
+        length = formula_length(e)
+        if out is not None and length > MAX_FORMULA_FILE:
+            raise ExprError(f"formula of {length} characters exceeds --out bound {MAX_FORMULA_FILE}")
+        terms, plus = metric_terms(e), metric_plus(e)
+        show_inline = length <= MAX_CONSOLE_FORMULA
+        formula = format_expression(e) if show_inline or out is not None else None
+        if out is not None:
+            _write(out, formula + "\n")
+        if fmt == "json":
+            payload = {"n": n, "method": method, "terms": terms, "plus": plus}
+            if show_inline:
+                payload["formula"] = formula
+            else:
+                payload["formula_length"] = length
+                if out is not None:
+                    payload["formula_file"] = str(out)
+            click.echo(json.dumps(payload))
         else:
-            payload["formula_length"] = length
-            if out is not None:
-                payload["formula_file"] = str(out)
-        click.echo(json.dumps(payload))
-    else:
-        if show_inline:
-            click.echo(formula)
-        else:
-            where = f", written to {out}" if out is not None else "; use --out to save it"
-            click.echo(f"[formula of {length} characters{where}]")
-        click.echo(f"terms={terms} plus={plus}")
+            if show_inline:
+                click.echo(formula)
+            else:
+                where = f", written to {out}" if out is not None else "; use --out to save it"
+                click.echo(f"[formula of {length} characters{where}]")
+            click.echo(f"terms={terms} plus={plus}")
 
 
 @main.command("verify")
@@ -240,14 +256,12 @@ def cmd_fit(m, n_list):
 @main.command("repro")
 def cmd_repro():
     """Run the full acceptance suite and print one pass/fail line per criterion."""
-    from .repro import run_all
+    from .repro import CRITERIA, run
 
-    results = run_all()
     failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        click.echo(f"[{status}] {r.number:>2}. {r.name} ({r.seconds:.2f}s) {r.detail}")
-        failed += not r.passed
-    click.echo(f"{len(results) - failed}/{len(results)} criteria passed")
+    for result in map(run, CRITERIA):
+        click.echo(str(result))
+        failed += not result.passed
+    click.echo(f"{len(CRITERIA) - failed}/{len(CRITERIA)} criteria passed")
     if failed:
         sys.exit(1)

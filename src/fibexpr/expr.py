@@ -593,7 +593,11 @@ def parse(text: str) -> Expression:
                 tok = m.group()
                 t = leaves.get(tok)
                 if t is None:
-                    index = int(tok[1:])
+                    try:
+                        index = int(tok[1:])
+                    except ValueError:  # past the interpreter's int-string limit
+                        raise ParseError(f"label index of {len(tok) - 1} digits is too long",
+                                         m.start()) from None
                     if index < 1:
                         raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
                     # a01 and a1 name one label, so they share one Term

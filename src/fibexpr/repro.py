@@ -1,8 +1,8 @@
 """Acceptance suite: every headline number and property, runnable both from
 the CLI (`fibexpr repro`) and from pytest.
 
-Each criterion returns (ok, detail); run_all wraps them with timing and the
-stated runtime budgets.
+Each criterion returns (ok, detail).  run times one and fails it if it
+raises or passes over its budget; str() of its result is the line both print.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] {self.number:>2}. {self.name} ({self.seconds:.2f}s) {self.detail}"
 
 
 def crit_canonical_n9():
@@ -177,17 +181,15 @@ CRITERIA = [
 ]
 
 
-def run_all() -> list[CriterionResult]:
-    results = []
-    for number, name, fn, budget in CRITERIA:
-        start = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        if ok and budget is not None and elapsed > budget:
-            ok = False
-            detail += f" [over {budget:.0f}s budget]"
-        results.append(CriterionResult(number, name, ok, detail, elapsed))
-    return results
+def run(criterion: tuple) -> CriterionResult:
+    """Run one (number, name, fn, budget) entry of CRITERIA."""
+    number, name, fn, budget = criterion
+    start = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except Exception as exc:  # a crash is a failure, not an abort
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - start
+    if ok and budget is not None and elapsed > budget:
+        ok, detail = False, f"{detail} [over {budget:.0f}s budget]"
+    return CriterionResult(number, name, ok, detail, elapsed)

@@ -1,23 +1,17 @@
 """Acceptance gate: every criterion at its stated tolerance and time budget.
 
 Run with -s to see one pass/fail line per criterion; `fibexpr repro` prints
-the same lines.
+the same lines, both from `repro.run`.
 """
-
-import time
 
 import pytest
 
-from fibexpr.repro import CRITERIA
+from fibexpr.repro import CRITERIA, run
 
 
-@pytest.mark.parametrize("number,name,fn,budget", CRITERIA,
+@pytest.mark.parametrize("criterion", CRITERIA,
                          ids=[f"criterion_{num:02d}" for num, *_ in CRITERIA])
-def test_criterion(number, name, fn, budget):
-    start = time.perf_counter()
-    ok, detail = fn()
-    elapsed = time.perf_counter() - start
-    print(f"[{'PASS' if ok else 'FAIL'}] {number:>2}. {name} ({elapsed:.2f}s) {detail}")
-    assert ok, f"criterion {number} ({name}): {detail}"
-    if budget is not None:
-        assert elapsed < budget, f"criterion {number} took {elapsed:.2f}s, budget {budget}s"
+def test_criterion(criterion):
+    result = run(criterion)
+    print(result)
+    assert result.passed, str(result)

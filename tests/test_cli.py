@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from fibexpr.cli import main
-from fibexpr.expr import format_expression, parse
+from fibexpr.cli import _exact_int_strings, main
+from fibexpr.expr import format_expression, metric_plus, metric_terms, parse
 from fibexpr.optimize import build_expression, recurrence_P
 
 
@@ -55,6 +55,38 @@ class TestExpr:
         assert "formula" not in payload and "formula_file" not in payload
         assert payload["formula_length"] == len(
             format_expression(build_expression(24, "canonical")))
+
+    def test_json_names_the_out_file_of_a_long_formula(self, tmp_path):
+        out = tmp_path / "f.txt"
+        result = run("expr", "--n", "100", "--format", "json", "--out", str(out))
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["formula_length"] == 16102 and "formula" not in payload
+        assert payload["formula_file"] == str(out)
+        assert len(out.read_text()) == 16102 + 1
+
+    def test_metrics_past_the_int_string_limit_print_exactly(self):
+        # leftmost n=21000: T, P and the length have about 4,400 digits,
+        # past CPython's default limit of 4,300 for int <-> str
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        args = ("expr", "--n", "21000", "--method", "leftmost")
+        text, as_json = run(*args), run(*args, "--format", "json")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert text.exit_code == 0 and as_json.exit_code == 0
+        e = build_expression(21000, "leftmost")
+        terms, plus = metric_terms(e), metric_plus(e)
+        with _exact_int_strings():
+            assert len(str(terms)) == 4389
+            assert text.output.splitlines()[-1] == f"terms={terms} plus={plus}"
+            payload = json.loads(as_json.output)
+        assert (payload["terms"], payload["plus"]) == (terms, plus)
+
+    def test_runs_where_ints_print_at_any_length(self, monkeypatch):
+        # CPython before 3.10.7 has no int-string limit to lift
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        result = run("expr", "--n", "9")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "terms=31 plus=11"
 
     def test_formula_too_long_to_build_is_summarised(self):
         # 267,914,294 terms: the text is never built
@@ -100,6 +132,20 @@ class TestVerify:
                      "--mode", "modeval", "--trials", "32")
         assert result.exit_code == 0
         assert "EQUIVALENT" in result.output
+
+    @pytest.mark.parametrize("mode", ["expand", "modeval"])
+    @pytest.mark.parametrize("text, message", [
+        ("a1+", "expected a factor (at position 3)"),
+        ("(a1+b2)a" + "1" * 5000, "label index of 5000 digits is too long (at position 7)"),
+    ])
+    def test_unparsable_formula_exits_2(self, tmp_path, mode, text, message):
+        formula = tmp_path / "f.txt"
+        formula.write_text(text)
+        result = run("verify", "--n", "3", "--formula", str(formula), "--mode", mode)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: cannot parse {formula}: {message}\n" in result.output
+        assert "Traceback" not in result.output
 
     def test_deep_leftmost_modeval(self):
         result = run("verify", "--n", "3000", "--method", "leftmost", "--mode", "modeval",
@@ -331,6 +377,19 @@ class TestOptimizeSpecialFit:
     def test_special_31(self):
         result = run("special", "--n-max", "31")
         assert result.output.splitlines()[0] == "7,13,14,15,25,26,27,28,29,30,31"
+
+    def test_special_json(self):
+        result = run("special", "--n-max", "31", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "n_max": 31, "special": [7, 13, 14, 15, 25, 26, 27, 28, 29, 30, 31],
+            "groups": [[7, 7], [13, 15], [25, 31]], "groups_ok": True}
+
+    def test_optimize_refuses_an_n_too_long_to_read(self):
+        # the int-string limit is lifted only while expr renders its output
+        result = run("optimize", "--n", "1" + "0" * 5000)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
 
     def test_fit_m2(self):
         result = run("fit", "--m", "2", "--n-list", "64,128,256,512")

@@ -127,6 +127,11 @@ class TestUniformPositions:
     def test_m_capped_at_interval_span(self):
         assert uniform_positions(1, 4, 7) == [2, 3]
 
+    @pytest.mark.parametrize("p, q, m", [(3, 3, 2), (5, 4, 2), (1, 9, 1), (1, 9, 0)])
+    def test_refuses_a_span_below_1_or_m_below_2(self, p, q, m):
+        with pytest.raises(InvalidVertexChoice):
+            uniform_positions(p, q, m)
+
     def test_strictly_increasing_inside_interval(self):
         for q in range(3, 40):
             for m in range(2, 10):

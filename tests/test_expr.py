@@ -123,6 +123,11 @@ class TestSimplify:
     def test_empty_product_of_units_is_unit(self):
         assert simplify(Product((UNIT, UNIT))) is UNIT
 
+    def test_nodes_with_different_child_counts_are_unequal(self):
+        pair, triple = (T("a", 1), T("a", 2)), (T("a", 1), T("a", 2), T("a", 3))
+        assert (Sum(pair) == Sum(triple)) is False
+        assert (Sum((Product(pair), T("b", 1))) == Sum((Product(triple), T("b", 1)))) is False
+
 
 class TestExpand:
     def test_n3_canonical(self):

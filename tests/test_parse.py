@@ -2,6 +2,7 @@
 the memo of repeated parenthesised groups."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +51,20 @@ def test_error_message_and_position(text, position, message):
         parse(text)
     assert exc.value.position == position
     assert str(exc.value) == f"{message} (at position {position})"
+
+
+LONG_LABEL = "a" + "1" * 5000
+INT_STRING_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < INT_STRING_LIMIT < 5000, reason="int() reads 5,000 digits here")
+@pytest.mark.parametrize("text, position", [(LONG_LABEL, 0), (f"(a1+b2){LONG_LABEL}*a3", 7)])
+def test_label_index_too_long_to_read_is_a_parse_error(text, position):
+    # past the interpreter's int-string limit; the message does not repeat the digits
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"label index of 5000 digits is too long (at position {position})"
 
 
 def test_deep_nesting_needs_no_recursion():
