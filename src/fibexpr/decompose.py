@@ -20,7 +20,7 @@ from operator import add, mul, sub
 from typing import Mapping, Union
 
 from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, Term, UNIT,
-                   ZERO, _edge_labels, _hand_over, _make_group)
+                   _edge_labels, _hand_over, _make_group)
 from .graph import _check_n
 
 
@@ -129,14 +129,27 @@ def _build(n: int, split) -> Expression:
     length's intervals are all known, and checks each template, counts its
     summands and finds its child intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
     summands, or a build of more than _BUILD_SUMMAND_BOUND over all its
-    intervals, is refused there, before any summand is enumerated or any
-    node is made.  Construction goes shortest length first and runs the
+    intervals, is refused there, before any summand is enumerated or
+    planned.  Construction goes shortest length first and runs the
     keep/bypass pass once per template over slot references (see _segment):
-    each gives one column of slots over the template's starts.  Each length
-    makes all its Products, then all its Sums, grouped by arity, one node
-    per row of columns (_make_group), and the slot plan is made along with
-    the nodes and handed over with the root.
+    each gives one column of slots over the template's starts.
+    Each length plans all its Products, then all its Sums, grouped by arity,
+    one node per row of columns (_make_group).  Only the slot plan is made;
+    it is handed over with the root, whose nodes are made from it when first
+    read (_hand_over).
     """
+    # Every build has at least n-1 summands, so a larger n is refused before
+    # the 2n-3 labels are made.  An interval split at k vertices has at
+    # least k+1 summands: the one that keeps them all, and for each vertex
+    # the one that bypasses it alone.  The keep-all summands split (1, n)
+    # into a tree of intervals whose leaves are the n-1 edges a_v; any two
+    # of its intervals are nested or do not overlap, so all are distinct,
+    # and each holds at least as many summands as it has parts.  The parts
+    # of all the tree's intervals are its nodes but the root, at least its
+    # n-1 leaves.
+    if n - 1 > _BUILD_SUMMAND_BOUND:
+        raise SizeExceeded(f"a build of at least {n - 1} summands exceeds bound "
+                           f"{_BUILD_SUMMAND_BOUND}")
     labels = _edge_labels(n)
     if n < 3:
         return Term(labels[0]) if n == 2 else UNIT
@@ -176,7 +189,7 @@ def _build(n: int, split) -> Expression:
                 if r - x > 1:
                     starts[r - x].update(map(add, ps, repeat(x)))
             templates[length].append((offsets, ps))
-    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: a_x at x+1, b_x at n+x
+    top = 2 + len(labels)  # the next free slot: a_x is at x+1, b_x at n+x
     steps: list = []
     slot_of: list = [None] * n  # slot_of[k]: {p: slot of E(p, p+k)}
     for length in range(2, n):
@@ -206,15 +219,19 @@ def _build(n: int, split) -> Expression:
                     summands.append((len(fs), len(group)))
                     group.append([*map(columns.__getitem__, fs)])
             sums.setdefault(len(summands), []).append((summands, ps))
-        # arity -> the slots of each product column, in order
-        placed = {arity: _make_group(made, steps, mul, group) for arity, group in products.items()}
+        placed = {}  # arity -> the slots of each product column, in order
+        for arity, group in products.items():
+            placed[arity] = _make_group(top, steps, mul, group)
+            top = placed[arity][-1].stop
         slot_of[length] = at = {}
         for group in sums.values():
             parts = [[s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
                      for summands, ps in group]
-            for (summands, ps), slots in zip(group, _make_group(made, steps, add, parts)):
-                at.update(zip(ps, slots))
-    return _hand_over(made, labels, steps)
+            slots = _make_group(top, steps, add, parts)
+            top = slots[-1].stop
+            for (summands, ps), part in zip(group, slots):
+                at.update(zip(ps, part))
+    return _hand_over(labels, steps)
 
 
 def decompose(n: int, strategy: Strategy | None = None) -> Expression:

@@ -111,10 +111,21 @@ class _Internal:
     on each node; construction does no extra work.  Equality walks pairs of
     nodes with an explicit stack and visits each pair once, so two DAGs that
     share no nodes compare in time linear in their distinct nodes.
+
+    A builder's root holds only its slot plan (see _hand_over): its children
+    and every node below them are made from the plan on the first read of
+    `children`, which folds never do.
     """
 
     _hash = None
     _slot_plan = None  # (labels, steps), set by _plan or a builder
+
+    def __getattr__(self, name: str):
+        # only reached for an attribute the instance does not hold
+        if name != "children" or self._slot_plan is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "children", _nodes_of_plan(*self._slot_plan).children)
+        return self.children
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -264,29 +275,51 @@ def _add_steps(steps: list, op, columns: list, top: int) -> range:
     return range(top, top + rows)
 
 
-def _make_group(made: list, steps: list, op, parts: list) -> list:
+def _make_group(top: int, steps: list, op, parts: list) -> list:
     """A builder's group of nodes of one kind and arity: one Sum (op add) or
     Product (op mul) per row of each part's columns (column j holding the
-    slots of each row's j-th child), made with one run of plan steps
-    appended to steps; returns the slots of each part's nodes.  made lists
-    a build's nodes by slot, None for a slot that holds a chunk of a wide
-    node.  A single part's columns go into the plan as they are."""
+    slots of each row's j-th child), planned as one run of steps appended
+    to steps when top is the next free slot; returns the slots of each
+    part's nodes, the last range's stop being the next free slot.  No node
+    is made.  A single part's columns go into the plan as they are."""
     columns = parts[0] if len(parts) == 1 else [[*chain.from_iterable(c)] for c in zip(*parts)]
-    slots = _add_steps(steps, op, columns, len(made))
-    nodes = [*map(Sum if op is add else Product, zip(*[map(made.__getitem__, c) for c in columns]))]
-    made += repeat(None, slots.start - len(made))
-    made += nodes
+    slots = _add_steps(steps, op, columns, top)
     ends = [*accumulate((len(part[0]) for part in parts), initial=slots.start)]
     return [*map(range, ends, ends[1:])]
 
 
-def _hand_over(made: list, labels: list, steps: list) -> _Internal:
-    """The root of a build, holding its slot plan (labels, steps) (see
-    _plan), made along with the nodes.  made lists the build's nodes by slot
-    (see _make_group), the root last."""
-    e = made[-1]
+def _hand_over(labels: list, steps: list) -> _Internal:
+    """The root of a build: a bare Sum or Product, the kind of the last step,
+    holding only its slot plan (labels, steps) (see _plan).  Its children
+    are made from the plan when first read (see _nodes_of_plan)."""
+    e = object.__new__(Sum if steps[-1][0] is add else Product)
     object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
+
+
+def _nodes_of_plan(labels: list, steps: list) -> _Internal:
+    """The DAG of a builder's slot plan, made in one columnar pass per step:
+    one node per row, one Term per label, and the root last.
+
+    A builder's tree is simplified, so a step reads a slot of its own kind
+    only where that slot holds a chunk partial of a wide node (see
+    _add_steps).  The steps of one _add_steps call share an op, and the
+    node groups of one kind that a builder plans in a row read nothing from
+    each other, so those partials are exactly the slots a step reads from
+    the current run of steps of its kind; their children are spliced in,
+    in chunk order."""
+    nodes: list = [ZERO, UNIT, *map(Term, labels)]
+    run = low = None  # the op of the current run of steps, and its first slot
+    for op, columns in steps:
+        if op is not run:
+            run, low = op, len(nodes)
+        kind = Sum if op is add else Product
+        rows = zip(*[map(nodes.__getitem__, column) for column in columns])
+        if any(max(column) >= low for column in columns):
+            rows = (tuple(chain.from_iterable(c.children if type(c) is kind else (c,) for c in row))
+                    for row in rows)
+        nodes += map(kind, rows)
+    return nodes[-1]
 
 
 def _plan(e: Expression) -> tuple:

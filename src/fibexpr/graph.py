@@ -25,9 +25,7 @@ from .expr import (
     Label,
     SizeExceeded,
     Term,
-    UNIT,
     UnassignedLabel,
-    ZERO,
     _as_batch,
     _edge_labels,
     _hand_over,
@@ -106,27 +104,28 @@ def path_vertex_sequences(n: int) -> list[tuple]:
 def canonical_expression(n: int) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
     their edge labels, labels in source-to-sink order.  The path products
-    are made by arity, one node per row of label slots, and the slot plan is
-    handed over with the root (see decompose._build)."""
+    are planned by arity, one node per row of label slots, and only the slot
+    plan is made and handed over with the root (see decompose._build)."""
     _check_n(n, minimum=2)
     paths = _paths(n)
-    labels = _edge_labels(n)
-    made = [ZERO, UNIT, *map(Term, labels)]  # nodes by slot: edge index k at k+2
+    labels = _edge_labels(n)  # edge index k at slot k+2
     if n == 2:
-        return made[2]  # one path of one edge
+        return Term(labels[0])  # one path of one edge
     by_arity: dict[int, list] = {}
     for k, path in enumerate(paths):
         if len(path) > 1:
             by_arity.setdefault(len(path), []).append(k)
     summands = [path[0] + 2 for path in paths]  # slot of each path's summand
     steps: list = []
+    top = 2 + len(labels)  # the next free slot
     for ks in by_arity.values():
         columns = [[*map(add, column, repeat(2))] for column in zip(*map(paths.__getitem__, ks))]
-        slots, = _make_group(made, steps, mul, [columns])
+        slots, = _make_group(top, steps, mul, [columns])
+        top = slots.stop
         for k, at in zip(ks, slots):
             summands[k] = at
-    _make_group(made, steps, add, [[*zip(summands)]])
-    return _hand_over(made, labels, steps)
+    _make_group(top, steps, add, [[*zip(summands)]])
+    return _hand_over(labels, steps)
 
 
 def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):

@@ -3,6 +3,7 @@ compiled once and cached for any other root."""
 
 import gc
 import random
+import re
 import weakref
 from operator import add, mul
 
@@ -44,7 +45,7 @@ from fibexpr.expr import (
     simplify,
     sumof,
 )
-from fibexpr.graph import canonical_expression, edges
+from fibexpr.graph import canonical_expression, edges, verify
 
 PRIME = 10007
 SIZES = range(1, 61)
@@ -136,8 +137,9 @@ class TestHandedOverOrder:
                 continue
             handed = e._slot_plan
             assert handed is not None, f"{name} arrived without its plan"
-            assert vars(e).keys() == {"children", "_slot_plan"}, f"{name}: more than the plan"
+            assert vars(e).keys() == {"_slot_plan"}, f"{name}: more than the plan"
             with_handed = folds(e)
+            e.children  # made from the handed plan, which the compiled one is not
             object.__setattr__(e, "_slot_plan", None)
             assert folds(e) == with_handed, name
             assert e._slot_plan is not handed
@@ -161,6 +163,7 @@ class TestHandedOverOrder:
                 assert all(0 <= s < filled for column in columns for s in column), \
                     f"{name}: a step reads a slot before it is filled"
                 filled += rows.pop()
+            e.children  # made from the plan before it is dropped
             object.__setattr__(e, "_slot_plan", None)
             labels, steps = fibexpr.expr._plan(e)  # compiled, not handed over
             compiled = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
@@ -187,6 +190,71 @@ class TestHandedOverOrder:
             labels = {a(1): 1} if text == "a1" else {}
             assert folds(leaf) == (text, len(text), len(labels), 0, labels, leaf)
             assert expand(leaf) == monomials
+
+
+def distinct_nodes(e):
+    """Nodes and leaves of e, counted once each by identity."""
+    seen, stack = {id(e)}, [e]
+    while stack:
+        for c in stack.pop().children:
+            if id(c) not in seen:
+                seen.add(id(c))
+                if internal(c):
+                    stack.append(c)
+    return len(seen)
+
+
+class TestNodesOnDemand:
+    """A builder's root holds only its plan; its nodes are made from it on
+    the first read of `children`."""
+
+    def test_folds_and_verify_make_no_node(self):
+        for name, e in built_roots():
+            if not internal(e):
+                continue
+            n = int(re.search(r"\d+", name).group())
+            assert verify(e, n, "modeval").equivalent, name
+            metric_terms(e)
+            if formula_length(e) < 10**5:
+                format_expression(e)
+            if n <= 16:
+                expand(e)
+            assert "children" not in vars(e), name
+
+    def test_made_nodes_equal_the_tree_they_print(self):
+        checked = 0
+        for name, e in built_roots():
+            if not internal(e):
+                continue
+            assert not hasattr(e, "nope") and "children" not in vars(e), name
+            simplified = simplify(e)
+            assert simplified == e and hash(simplified) == hash(e), name
+            if formula_length(e) < 10**5:
+                parsed = parse(format_expression(e))
+                assert parsed == e and hash(parsed) == hash(e), name
+                # the parse shares equal nodes, so the build must share them too
+                assert distinct_nodes(parsed) == distinct_nodes(e), name
+                checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("make, nodes", [
+        (lambda: decompose(1024), 14_167),
+        (lambda: decompose(4096), 65_711),
+        (lambda: decompose_gd(1024, GdSpec(4)), 16_786),
+        (lambda: decompose(320, Seeded(1)), 20_510),
+    ], ids=["middle-1024", "middle-4096", "gd-m4-1024", "seeded-320"])
+    def test_distinct_nodes_as_the_eager_builder_made(self, make, nodes):
+        assert distinct_nodes(make()) == nodes
+
+    def test_only_children_is_made(self):
+        e = decompose(40)
+        with pytest.raises(AttributeError, match="nope"):
+            e.nope
+        children = e.children
+        assert e.children is children and vars(e).keys() == {"_slot_plan", "children"}
+        assert not hasattr(e, "nope")
+        with pytest.raises(AttributeError):
+            Sum.__new__(Sum).children  # no plan to make them from
 
 
 class TestNoCycle:
