@@ -112,9 +112,9 @@ class _Internal:
     nodes with an explicit stack and visits each pair once, so two DAGs that
     share no nodes compare in time linear in their distinct nodes.
 
-    A builder's root holds only its slot plan (see _hand_over): its children
-    and every node below them are made from the plan on the first read of
-    `children`, which folds never do.
+    A root that a builder or parse made holds only its slot plan (see
+    _hand_over): its children and every node below them are made from the
+    plan on the first read of `children`, which folds never do.
     """
 
     _hash = None
@@ -289,25 +289,28 @@ def _make_group(top: int, steps: list, op, parts: list) -> list:
 
 
 def _hand_over(labels: list, steps: list) -> _Internal:
-    """The root of a build: a bare Sum or Product, the kind of the last step,
-    holding only its slot plan (labels, steps) (see _plan).  Its children
-    are made from the plan when first read (see _nodes_of_plan)."""
+    """The root of a build or a parse: a bare Sum or Product, the kind of
+    the last step, holding only its slot plan (labels, steps) (see _plan).
+    Its children are made from the plan when first read (see
+    _nodes_of_plan)."""
     e = object.__new__(Sum if steps[-1][0] is add else Product)
     object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
 
 
 def _nodes_of_plan(labels: list, steps: list) -> _Internal:
-    """The DAG of a builder's slot plan, made in one columnar pass per step:
-    one node per row, one Term per label, and the root last.
+    """The DAG of a handed-over slot plan, made in one columnar pass per
+    step: one node per row, one Term per label, and the root last.
 
-    A builder's tree is simplified, so a step reads a slot of its own kind
-    only where that slot holds a chunk partial of a wide node (see
-    _add_steps).  The steps of one _add_steps call share an op, and the
-    node groups of one kind that a builder plans in a row read nothing from
-    each other, so those partials are exactly the slots a step reads from
-    the current run of steps of its kind; their children are spliced in,
-    in chunk order."""
+    A builder's or parse's tree is simplified: no Sum has a Sum child and
+    no Product a Product child.  A run of consecutive steps of one op holds
+    nodes of its kind only: groups that a builder plans in a row, or bins
+    that parse sorts by height with products before sums, so that a run
+    spans two heights only through groups of one kind.  So a step reads a
+    slot of its own run only where that slot holds a chunk partial of a
+    wide node, which the same _add_steps call placed just before the node
+    (see _add_steps); the partials' children are spliced in, in chunk
+    order."""
     nodes: list = [ZERO, UNIT, *map(Term, labels)]
     run = low = None  # the op of the current run of steps, and its first slot
     for op, columns in steps:
@@ -322,14 +325,34 @@ def _nodes_of_plan(labels: list, steps: list) -> _Internal:
     return nodes[-1]
 
 
+def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None) -> list:
+    """The plan steps of nodes binned by (height, is Sum, arity): one
+    _add_steps run per bin, in sorted order, so every node comes after its
+    children and, within one height, products come before sums.  kids(x)
+    lists node x's children; slot maps each leaf's key(leaf) (the leaf
+    itself if key is None) to its slot and takes each node's as it is
+    placed, top being the first free slot."""
+    steps = []
+    for (_, is_sum, _), xs in sorted(bins.items()):
+        op = add if is_sum else mul
+        columns = [[*map(slot.__getitem__, column if key is None else map(key, column))]
+                   for column in zip(*map(kids, xs))]
+        # an unsimplified empty node has one child, the identity
+        placed = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], top)
+        slot.update(zip(xs if key is None else map(key, xs), placed))
+        top = placed.stop
+    return steps
+
+
 def _plan(e: Expression) -> tuple:
     """e's slot plan (labels, steps), the program that every fold of e runs
-    over a list of value slots.  A builder hands it over with its root; any
-    other root is compiled on first use, in one pass over its distinct nodes
-    children first, and cached.  That pass gives each label a slot as it
-    first appears and groups the nodes by (height, kind, arity); the root,
-    alone at the greatest height, is the last group.  A leaf is planned as
-    the one-child Sum over it, which has its value.
+    over a list of value slots.  The builders and parse hand it over with
+    their root; a hand-made, mutated or child root is compiled on first use,
+    in one pass over its distinct nodes children first, and cached.  That
+    pass gives each label a slot as it first appears and bins the nodes by
+    (height, kind, arity) for _steps_of_bins; the root, alone at the
+    greatest height, is the last bin.  A leaf is planned as the one-child
+    Sum over it, which has its value.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns) then appends one value per
@@ -342,7 +365,7 @@ def _plan(e: Expression) -> tuple:
     plan = e._slot_plan
     if plan is not None:
         return plan
-    slot, labels, height, groups = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}
+    slot, labels, height, bins = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}
     for x in chain(_walk(e), (e,)):
         h = 0
         for c in x.children:
@@ -352,16 +375,8 @@ def _plan(e: Expression) -> tuple:
                 slot[id(c)] = len(labels) + 2
                 labels.append(c.label)
         height[id(x)] = h + 1
-        groups.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
-    steps, nodes = [], range(len(labels) + 2)
-    for key in sorted(groups):
-        xs, op = groups[key], add if key[1] else mul
-        columns = [[*map(slot.__getitem__, map(id, column))]
-                   for column in zip(*map(attrgetter("children"), xs))]
-        # an unsimplified empty node has one child, the identity
-        nodes = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], nodes.stop)
-        slot.update(zip(map(id, xs), nodes))
-    plan = labels, steps
+        bins.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
+    plan = labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id)
     object.__setattr__(e, "_slot_plan", plan)
     return plan
 
@@ -566,48 +581,79 @@ _GROUP_BUDGET = 4
 
 
 def parse(text: str) -> Expression:
-    """Parse expression text into a simplified, hash-consed DAG.
+    """Parse expression text into a simplified DAG in which equal
+    subexpressions share one node.
 
     Grammar:  sum := product ('+' product)* ;
               product := factor ('*'? factor)* ;
               factor := label | '1' | '(' sum ')'.
 
     One pass over the tokens with an explicit stack of open parentheses, so
-    nesting depth is unbounded.  Equal labels share one Term, and equal sums
-    and products (the same constructor over the same child nodes) share one
-    node, so a formula printed from a DAG parses back to a DAG of the same
-    size.  A parenthesised group whose text repeats one parsed earlier is
-    not tokenised again: it parses to the node of its first occurrence,
-    which is what parsing it would return.  The tables live for one call.
+    nesting depth is unbounded.  A factor is an int ref: -1 for 1 (UNIT),
+    -2-k for labels[k] (in order of first appearance) and i >= 0 for the
+    i-th distinct group.  A group's refs are flattened by _flat's rules and
+    interned by (kind, child refs), so equal labels share one Term and
+    equal sums and products share one node, and a formula printed from a
+    DAG parses back to a DAG of the same size.  A parenthesised group whose
+    text repeats one parsed earlier is not tokenised again: it parses to the
+    ref of its first occurrence, which is what parsing it would return.  The
+    tables live for one call.
+
+    No node is made.  Each new group is binned by (height, kind, arity) as
+    it is interned, and the bins of the groups that the root reaches become
+    its slot plan (_steps_of_bins), which the root holds alone as a
+    builder's does (_hand_over); its nodes are made on the first read of
+    `children`.  A root of 1 or one label is UNIT or that label's Term.
     """
-    leaves: dict[str, Term] = {}  # label text as written, and as printed -> its Term
-    nodes: dict[tuple, Expression] = {}  # (type, ids of children) -> node
-    # first _GROUP_KEY characters -> {length: (start, node)}, first occurrences
+    leaves: dict[str, int] = {}  # label text as written, and as printed -> its ref
+    labels: list[Label] = []
+    refs: dict[tuple, int] = {}  # (is Sum, child refs) -> ref
+    kids: list[tuple] = []  # a group's ref -> its child refs
+    sums: dict[int, bool] = {}  # a group's ref -> whether it is a Sum
+    height: dict[int, int] = {}  # a group's ref -> 1 + its children's greatest (a leaf's is 0)
+    bins: dict[tuple, list] = {}  # (height, is Sum, arity) -> its groups' refs
+    spliced = False  # whether a group was flattened into its parent
+    # first _GROUP_KEY characters -> {length: (start, ref)}, first occurrences
     groups: dict[str, dict[int, tuple]] = {}
     budget = _GROUP_BUDGET * len(text)
 
-    def build(make, parts: list) -> Expression:
-        """make(parts), interned; the parts are interned already."""
+    def build(is_sum: bool, parts: list) -> int:
+        """The ref of the sum (or product) of parts, flattened and interned."""
         if len(parts) == 1:
             return parts[0]
-        e = make(parts)
-        if isinstance(e, (Sum, Product)):
-            e = nodes.setdefault((type(e), tuple(map(id, e.children))), e)
-        return e
+        nonlocal spliced
+        flat = parts
+        if is_sum in map(sums.get, parts):  # some part is of the same kind
+            flat, spliced = [], True
+            for r in parts:
+                flat += kids[r] if sums.get(r) is is_sum else (r,)
+        if not is_sum and -1 in flat:
+            flat = [r for r in flat if r != -1]
+        if len(flat) < 2:
+            return flat[0] if flat else -1
+        key = (is_sum, tuple(flat))
+        r = refs.get(key)
+        if r is None:
+            r = refs[key] = len(kids)
+            kids.append(key[1])
+            sums[r] = is_sum
+            height[r] = h = 1 + max(map(height.get, key[1], repeat(0)))
+            bins.setdefault((h, is_sum, len(flat)), []).append(r)
+        return r
 
     def recall(start: int):
-        """(node, length) of a parsed group whose text recurs at start, or
+        """(ref, length) of a parsed group whose text recurs at start, or
         (None, 0).  The last characters are compared first, since they tell
         most candidates that share the first ones apart."""
         nonlocal budget
-        for length, (first, node) in groups.get(text[start:start + _GROUP_KEY], {}).items():
+        for length, (first, ref) in groups.get(text[start:start + _GROUP_KEY], {}).items():
             tail = min(length, _GROUP_KEY)
             budget -= tail
             if text.startswith(text[first + length - tail:first + length],
                                start + length - tail):
                 budget -= length
                 if text.startswith(text[first:first + length], start):
-                    return node, length
+                    return ref, length
             if budget <= 0:
                 break
         return None, 0
@@ -624,8 +670,8 @@ def parse(text: str) -> Expression:
             kind = m.lastindex
             if kind == _LABEL:
                 tok = m.group()
-                t = leaves.get(tok)
-                if t is None:
+                r = leaves.get(tok)
+                if r is None:
                     try:
                         index = int(tok[1:])
                     except ValueError:  # past the interpreter's int-string limit
@@ -633,24 +679,25 @@ def parse(text: str) -> Expression:
                                          m.start()) from None
                     if index < 1:
                         raise ParseError(f"label index must be >= 1 in {tok!r}", m.start())
-                    # a01 and a1 name one label, so they share one Term
-                    t = leaves[tok] = leaves.setdefault(f"{tok[0]}{index}",
-                                                        Term(Label(tok[0], index)))
-                factors.append(t)
+                    # a01 and a1 name one label, so they share one ref
+                    r = leaves[tok] = leaves.setdefault(f"{tok[0]}{index}", -2 - len(labels))
+                    if r == -2 - len(labels):
+                        labels.append(Label(tok[0], index))
+                factors.append(r)
                 want = False
             elif kind is None:  # whitespace
                 continue
             elif kind == _BAD:
                 raise ParseError(f"unexpected character {m.group()!r}", m.start())
             elif kind == _ONE:
-                factors.append(UNIT)
+                factors.append(-1)
                 want = False
             elif kind == _OPEN:
                 start = m.start()
                 if budget > 0:
-                    node, length = recall(start)
-                    if node is not None:
-                        factors.append(node)
+                    ref, length = recall(start)
+                    if ref is not None:
+                        factors.append(ref)
                         want = False
                         resume = start + length
                         break
@@ -661,13 +708,13 @@ def parse(text: str) -> Expression:
             elif kind == _STAR:
                 want = True
             elif kind == _PLUS:
-                summands.append(build(product, factors))
+                summands.append(build(False, factors))
                 factors, want = [], True
             elif not stack:
                 raise ParseError(f"trailing input {m.group()!r}", m.start())
             else:  # _CLOSE
-                summands.append(build(product, factors))
-                inner = build(sumof, summands)
+                summands.append(build(False, factors))
+                inner = build(True, summands)
                 summands, factors, start = stack.pop()
                 factors.append(inner)
                 if budget > 0:
@@ -679,5 +726,20 @@ def parse(text: str) -> Expression:
         raise ParseError("expected a factor", len(text))
     if stack:
         raise ParseError(f"expected ')' to close the '(' at {stack[-1][2]}", len(text))
-    summands.append(build(product, factors))
-    return build(sumof, summands)
+    summands.append(build(False, factors))
+    root = build(True, summands)
+    if root < 0:
+        return UNIT if root == -1 else Term(labels[-2 - root])
+    if spliced:
+        # A group's children have smaller refs, so one pass down from the
+        # root marks every group it reaches; a leaf's ref (< 0) marks the
+        # tail past it.  Without a flattened group, every group is reached.
+        live = bytearray(root + 2 + len(labels))
+        live[root] = 1
+        for r in range(root, -1, -1):
+            if live[r]:
+                for c in kids[r]:
+                    live[c] = 1
+        bins = {key: kept for key, xs in bins.items() if (kept := [*filter(live.__getitem__, xs)])}
+    slot = dict(zip(range(-1, -2 - len(labels), -1), range(1, len(labels) + 2)))
+    return _hand_over(labels, _steps_of_bins(bins, kids.__getitem__, slot, len(labels) + 2))

@@ -23,7 +23,7 @@ from operator import add
 from . import graph
 from .decompose import (FixedMap, GdSpec, Leftmost, MiddleHigh, MiddleLow, Seeded, decompose,
                         decompose_gd)
-from .expr import ExprError, Expression, metric_plus, metric_terms
+from .expr import ExprError, Expression, SizeExceeded, metric_plus, metric_terms
 from .graph import _check_n, verify
 
 
@@ -33,6 +33,10 @@ class DegenerateFit(ExprError):
 
 # The metric of the two-vertex graph: one term (a1), no plus operator.
 _AT_2 = {"T": 1, "P": 0}
+
+# IntervalTable refuses a larger n before it allocates: its lists hold a few
+# ints per length, so n = 10^6 takes about 3 s and 250 MB.
+TABLE_BOUND = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +76,8 @@ class IntervalTable:
         _check_n(n)
         if metric not in ("T", "P"):
             raise ExprError(f"metric must be 'T' or 'P', got {metric!r}")
+        if n > TABLE_BOUND:
+            raise SizeExceeded(f"n={n}: the interval table exceeds bound {TABLE_BOUND}")
         self.n = n
         self.metric = metric
         # Indexed by interval length.  With pair[k] = best[k] + best[k+1],

@@ -316,6 +316,15 @@ def test_file_errors_exit_2_without_traceback(tmp_path, command):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args", ["special --n-max 1000000000", "optimize --n 1000000000",
+                                  "optimize --n 1000001 --metric P"])
+def test_oversized_interval_table_exits_2_at_once(args):
+    result = run(*args.split())
+    assert result.exit_code == 2
+    n = args.split()[2]
+    assert result.output == f"Error: n={n}: the interval table exceeds bound 1000000\n"
+
+
 def test_expand_refuses_a_large_n_at_once(tmp_path):
     # the path count is not computed past the bound, so n = 10^6 costs no
     # million big-integer additions

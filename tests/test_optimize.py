@@ -1,13 +1,14 @@
 """Interval DP, recurrences, theorem verification, special values, fits."""
 
 import math
+import tracemalloc
 from operator import add
 
 import pytest
 
 from fibexpr import optimize
 from fibexpr.decompose import MiddleLow, decompose
-from fibexpr.expr import metric_plus, metric_terms
+from fibexpr.expr import SizeExceeded, metric_plus, metric_terms
 from fibexpr.graph import InvalidN
 from fibexpr.optimize import (
     DegenerateFit,
@@ -326,6 +327,20 @@ class TestMinMetric:
 
     def test_interval_1_3_has_single_legal_vertex(self):
         assert min_metric(3, "T").argmin_vertices(1, 3) == {2}
+
+    @pytest.mark.parametrize("check", [lambda n: min_metric(n, "P"), special_values,
+                                       verify_theorem1, lambda n: IntervalTable(n, "T")],
+                             ids=["min_metric", "special_values", "verify_theorem1",
+                                  "IntervalTable"])
+    @pytest.mark.parametrize("n", [optimize.TABLE_BOUND + 1, 10**9, 10**4000])
+    def test_oversized_table_is_refused_before_it_allocates(self, check, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceeded, match=f"exceeds bound {optimize.TABLE_BOUND}$"):
+                check(n)
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("metric,recurrence",
                              [("T", recurrence_T), ("P", recurrence_P)])

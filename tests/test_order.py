@@ -257,6 +257,69 @@ class TestNodesOnDemand:
             Sum.__new__(Sum).children  # no plan to make them from
 
 
+def parsed_texts():
+    """(name, text) of formulas whose parse hands over a plan-only root."""
+    yield "star-and-space", " a1 * a2\t+\nb1 * (a2 +b2) "
+    yield "one-factors", "1a1 + a2*1*b3 + 1 + (1)(a4 + 1)1"
+    yield "redundant-parens", "((((a1 + (b1)))))a2 + ((a3)) + (((a4)(b2)))"
+    yield "deep-parens", "(" * 300 + "a1+b1" + ")" * 300 + "a2 + a3(" * 200 + "b4" + ")" * 200
+    yield "aliases", "a01a2 + a1(b001 + b1a3) + (a0002)a1"
+    yield "repeated-groups", "(a1+b2)(a3+b4) + (a1+b2)b5 + a6(a3+b4) + (a1+b2)(a3+b4)a7"
+    yield "dropped-group", "(a1a2)a3+b1"
+    yield "canonical-12", format_expression(canonical_expression(12))  # one Sum of 144
+    yield "wide-products", format_expression(wide_products())
+    yield "gd-16-m4", format_expression(decompose_gd(16, GdSpec(4)))
+    yield "middle-20", format_expression(decompose(20))
+
+
+class TestParsedRoots:
+    """parse hands over a plan-only root, as the builders do; its nodes are
+    made on the first read of `children`."""
+
+    @pytest.mark.parametrize("text, leaf", [("1", UNIT), ("(a1)", Term(a(1))), ("1*1", UNIT),
+                                            ("((a01))1", Term(a(1)))])
+    def test_leaf_roots_are_leaves(self, text, leaf):
+        e = parse(text)
+        assert type(e) is type(leaf) and e == leaf
+
+    @pytest.mark.parametrize("case", range(11))
+    def test_handed_over_plan_folds_like_a_compiled_one(self, case):
+        name, text = list(parsed_texts())[case]
+        e = parse(text)
+        assert vars(e).keys() == {"_slot_plan"}, f"{name}: more than the plan"
+        handed = e._slot_plan
+        n = 2 + max(label.index for label in handed[0])
+        verify(e, n, "modeval")
+        metric_terms(e)
+        format_expression(e)
+        try:
+            expand(e)
+        except DuplicateMonomial:  # wide-products repeats labels
+            pass
+        assert "children" not in vars(e), name
+        labels = sorted(labels_of(e))
+        rng = random.Random(case)
+        pts = [Assignment.random(labels, PRIME, rng) for _ in range(31)]
+
+        def plan_folds():
+            return (evaluate_mod(e, pts), labels_of(e), metric_terms(e), metric_plus(e),
+                    format_expression(e))
+
+        with_handed = plan_folds()
+        e.children  # made from the handed plan, which the compiled one is not
+        object.__setattr__(e, "_slot_plan", None)
+        assert plan_folds() == with_handed, name
+        assert e._slot_plan is not handed
+        assert format_expression(e) == format_expression(parse(format_expression(e)))
+
+    def test_dropped_groups_are_not_planned(self):
+        e = parse("(a1a2)a3+b1+(a4+b2)")  # a1a2 and a4+b2 are flattened away
+        labels, steps = e._slot_plan
+        assert [(op, len(columns), len(columns[0])) for op, columns in steps] == [
+            (mul, 3, 1), (add, 4, 1)]
+        assert format_expression(e) == "a1a2a3+b1+a4+b2"
+
+
 class TestNoCycle:
     @pytest.mark.parametrize("make", [
         lambda: decompose(200),
@@ -283,9 +346,8 @@ class TestNoCycle:
 
 
 def unbuilt_roots():
-    """Roots that no builder made, with the n of their graph."""
+    """Roots that neither a builder nor parse made, with the n of their graph."""
     built = decompose(50)
-    yield "parsed", 30, parse(format_expression(decompose_gd(30, GdSpec(3))))
     yield "sumof-children", 50, sumof(built.children[1:])
     yield "mutated-summand", 50, sumof(built.children[:-1] + (
         Product(built.children[-1].children + (Term(a(1)),)),))
@@ -294,7 +356,7 @@ def unbuilt_roots():
 
 
 class TestUnbuiltRoots:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(4))
     def test_folds_match_a_local_walk(self, case):
         name, n, e = list(unbuilt_roots())[case]
         assert e._slot_plan is None
@@ -379,11 +441,11 @@ class TestSlotPlan:
             if not internal(e):
                 continue
             handed = e._slot_plan
-            assert (handed is None) == name.startswith("parse"), name
+            assert handed is not None, f"{name} arrived without its plan"
             pts = [Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))] * 2
             first = evaluate_mod(e, pts[0])
             plan = e._slot_plan
-            assert plan is not None and (handed is None or plan is handed), name
+            assert plan is handed, name
             assert evaluate_mod(e, pts) == [first, first]
             assert e._slot_plan is plan, name
 
@@ -419,7 +481,7 @@ class TestSlotPlan:
         e = decompose(8)
         with pytest.raises(UnassignedLabel, match="no value for label b6"):
             evaluate_mod(e, Assignment({lab: 1 for lab in edges(8) if lab != b(6)}, PRIME))
-        e = parse(format_expression(decompose(8)))
+        e = sumof(decompose(8).children)  # hand-made, so planned on first use
         pts = [Assignment.random(edges(8), PRIME, random.Random(3)),
                Assignment.random(edges(8), 10009, random.Random(3))]
         with pytest.raises(ExprError, match="share a prime"):
