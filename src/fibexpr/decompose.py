@@ -13,7 +13,6 @@ exactly the impossible consecutive-bypass summands.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, mul, sub
@@ -74,14 +73,31 @@ class FixedMap:
         return i if i is not None else self.fallback.choose(p, q)
 
 
+_M64 = (1 << 64) - 1
+
+
 @dataclass(frozen=True)
 class Seeded:
-    """Pseudo-random but reproducible: the vertex depends only on (seed, p, q)."""
+    """Pseudo-random but reproducible: the vertex depends only on (seed, p, q).
+
+    One splitmix64 round mixes seed + (p << 32 | q) times the golden-ratio
+    constant, and multiply-shift maps its 64 bits onto p+1 .. q-1.  It is
+    integer arithmetic only, so the tree depends on no hash seed, platform
+    or Python version.  Seeds equal modulo 2^64 give the same tree.
+    """
 
     seed: int
 
+    def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise ExprError(f"need an integer seed, got {self.seed!r}")
+
     def choose(self, p: int, q: int) -> int:
-        return random.Random(f"{self.seed}:{p}:{q}").randrange(p + 1, q)
+        # q < 2^32 for every n a build allows, so (p, q) packs without overlap.
+        x = (self.seed + (p << 32 | q) * 0x9E3779B97F4A7C15) & _M64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+        return p + 1 + ((x ^ x >> 31) * (q - p - 1) >> 64)
 
 
 Strategy = Union[MiddleLow, MiddleHigh, Leftmost, FixedMap, Seeded]

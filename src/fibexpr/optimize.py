@@ -38,6 +38,11 @@ _AT_2 = {"T": 1, "P": 0}
 # ints per length, so n = 10^6 takes about 3 s and 250 MB.
 TABLE_BOUND = 10**6
 
+# complexity_table builds and verifies every n from 2 up, so its time grows
+# a little faster than n_max^2 (0.9, 3.7 and 16.9 s at n_max = 200, 400 and
+# 800); it refuses an n_max above this bound, which takes about two minutes.
+COMPLEXITY_TABLE_BOUND = 2000
+
 
 @lru_cache(maxsize=None)
 def _middle_recurrence(n: int, at_2: int) -> int:
@@ -281,8 +286,12 @@ def build_expression(n: int, method: str, *, m: int | None = None,
 
 def complexity_table(n_max: int, method: str = "middle") -> list[ComplexityRecord]:
     """Records for n = 2..n_max; equivalence by full expansion up to n=14,
-    by modular sampling beyond."""
+    by modular sampling beyond.  An n_max above COMPLEXITY_TABLE_BOUND
+    raises SizeExceeded before any row is built."""
     _check_n(n_max, minimum=2)
+    if n_max > COMPLEXITY_TABLE_BOUND:
+        raise SizeExceeded(f"n_max={n_max}: the complexity table exceeds bound "
+                           f"{COMPLEXITY_TABLE_BOUND}")
     rows = []
     for n in range(2, n_max + 1):
         e = build_expression(n, method)

@@ -325,6 +325,14 @@ def test_oversized_interval_table_exits_2_at_once(args):
     assert result.output == f"Error: n={n}: the interval table exceeds bound 1000000\n"
 
 
+@pytest.mark.parametrize("n_max", ["2001", "1000000000"])
+def test_oversized_complexity_table_exits_2_at_once(n_max):
+    # every row up to n_max would be built and verified before one is printed
+    result = run("table", "--n-max", n_max)
+    assert result.exit_code == 2
+    assert result.output == f"Error: n_max={n_max}: the complexity table exceeds bound 2000\n"
+
+
 def test_expand_refuses_a_large_n_at_once(tmp_path):
     # the path count is not computed past the bound, so n = 10^6 costs no
     # million big-integer additions

@@ -3,6 +3,7 @@
 import importlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from fibexpr.decompose import (
 )
 from fibexpr.expr import (
     Assignment,
+    ExprError,
     Product,
     SizeExceeded,
     Sum,
@@ -70,6 +72,40 @@ class TestStrategies:
         assert len(set(picks)) == 1
         assert 1 < picks[0] < 100
         assert decompose(12, Seeded(17)) == decompose(12, Seeded(17))
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 1, 10**30])
+    def test_seeded_pick_lies_strictly_inside(self, seed):
+        # q = 4,000,001 is the largest n a build allows
+        s = Seeded(seed)
+        for q in (3, 4, 11, 1000, 4_000_001):
+            for p in [0, 1, q // 3, q // 2, *range(max(0, q - 40), q - 1)]:
+                assert p < s.choose(p, q) < q
+
+    def test_seeded_golden_picks(self):
+        # Any change to these picks changes every seeded tree
+        intervals = [(1, 3), (1, 4), (1, 9), (1, 320), (57, 200), (1, 3000), (1, 4_000_001),
+                     (3_999_000, 4_000_001)]
+        assert [Seeded(1).choose(p, q) for p, q in intervals] == [
+            2, 2, 8, 175, 63, 2505, 1080505, 3999093]
+        assert [Seeded(s).choose(1, 1000) for s in (0, -1, 10**30)] == [882, 375, 125]
+
+    def test_seeded_picks_spread_evenly(self):
+        counts = Counter(Seeded(1).choose(p, p + 10) - p for p in range(1, 20_001))
+        assert sorted(counts) == list(range(1, 10))
+        assert all(abs(c - 20_000 / 9) < 20_000 / 90 for c in counts.values())
+
+    def test_seeds_equal_modulo_2_to_the_64_give_one_tree(self):
+        for s in (-1, 0, 7):
+            t = s + 2**64
+            assert all(Seeded(s).choose(p, q) == Seeded(t).choose(p, q)
+                       for p in range(1, 40) for q in range(p + 2, 60))
+        assert decompose(60, Seeded(-1)) == decompose(60, Seeded(2**64 - 1))
+        assert decompose(60, Seeded(1)) != decompose(60, Seeded(2))
+
+    @pytest.mark.parametrize("seed", ["abc", 1.0, None, "1"])
+    def test_seeded_rejects_a_non_int_seed(self, seed):
+        with pytest.raises(ExprError, match="integer seed"):
+            Seeded(seed)
 
     def test_fixed_map_falls_back_to_middle(self):
         s = FixedMap({(1, 7): 3})

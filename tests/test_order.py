@@ -241,7 +241,7 @@ class TestNodesOnDemand:
         (lambda: decompose(1024), 14_167),
         (lambda: decompose(4096), 65_711),
         (lambda: decompose_gd(1024, GdSpec(4)), 16_786),
-        (lambda: decompose(320, Seeded(1)), 20_510),
+        (lambda: decompose(320, Seeded(1)), 15_264),
     ], ids=["middle-1024", "middle-4096", "gd-m4-1024", "seeded-320"])
     def test_distinct_nodes_as_the_eager_builder_made(self, make, nodes):
         assert distinct_nodes(make()) == nodes
