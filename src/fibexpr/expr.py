@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -108,13 +108,15 @@ class _Internal:
     """Structural equality and hashing for Sum and Product, without recursion.
 
     The hash is computed on first use, children first over _walk, and cached
-    on each node; construction does no extra work.  Equality walks pairs of
-    nodes with an explicit stack and visits each pair once, so two DAGs that
-    share no nodes compare in time linear in their distinct nodes.
+    on each node; construction does no extra work.  Equality runs over both
+    sides' slot plans (_spliced): every slot is named through one intern
+    table keyed by (is Sum, *child names), so equal subtrees get one name, and
+    the roots are equal when their names are.  It makes no node, and takes
+    time linear in the two plans' slots.
 
     A root that a builder or parse made holds only its slot plan (see
     _hand_over): its children and every node below them are made from the
-    plan on the first read of `children`, which folds never do.
+    plan on the first read of `children`, which folds and `==` never do.
     """
 
     _hash = None
@@ -124,7 +126,7 @@ class _Internal:
         # only reached for an attribute the instance does not hold
         if name != "children" or self._slot_plan is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "children", _nodes_of_plan(*self._slot_plan).children)
+        object.__setattr__(self, "children", _spliced(self, Term, map).children)
         return self.children
 
     def __hash__(self) -> int:
@@ -136,25 +138,15 @@ class _Internal:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        seen: set[tuple] = set()
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y:
-                continue
-            if type(x) is not type(y):
-                return False
-            if not isinstance(x, _Internal):
-                if x != y:
-                    return False
-                continue
-            if (id(x), id(y)) in seen:
-                continue
-            if len(x.children) != len(y.children):
-                return False
-            seen.add((id(x), id(y)))
-            stack.extend(zip(x.children, y.children))
-        return True
+        # (is Sum, *child names) -> name, shared by both sides; keys of bools,
+        # ints and strings only, which the garbage collector stops tracking
+        names: dict = {}
+        fresh = count()  # a new name per key; one that is not kept is not reused
+
+        def name(kind, rows):
+            return map(names.setdefault, map((kind is Sum,).__add__, rows), fresh)
+
+        return _spliced(self, str, name) == _spliced(other, str, name)
 
     def __repr__(self) -> str:
         # not the children's reprs, which nest once per level
@@ -255,23 +247,25 @@ def _walk(e: _Internal, hashed: bool = False) -> list:
 _WIDE = 32
 
 
-def _add_steps(steps: list, op, columns: list, top: int) -> range:
+def _add_steps(steps: list, op, columns: list, top: int, role: str = "node") -> range:
     """Append to steps the plan steps that combine, with op, one node per
     row of columns (column j holding every node's j-th child slot), when
     the next free slot is top; returns the slots of the nodes' values, one
-    per row.  A wide node's chunk partials take the slots before them, and
-    the free slot after them is the range's stop."""
+    per row.  Each step is (op, columns, role).  A wide node's chunk
+    partials take the slots before them, in steps of role "partial", and
+    the free slot after them is the range's stop; the nodes' own step has
+    the given role, "empty" for empty nodes planned over their identity."""
     rows = len(columns[0])
     while len(columns) > _WIDE:  # first each node's chunks, then their results
         whole, rest = divmod(len(columns), _WIDE)
         chunks = [columns[k:k + _WIDE] for k in range(0, whole * _WIDE, _WIDE)]
-        steps.append((op, [[*chain.from_iterable(c)] for c in zip(*chunks)]))
+        steps.append((op, [[*chain.from_iterable(c)] for c in zip(*chunks)], "partial"))
         if rest > 1:
-            steps.append((op, columns[-rest:]))
+            steps.append((op, columns[-rest:], "partial"))
         partials = [range(top + k * rows, top + (k + 1) * rows) for k in range(whole + (rest > 1))]
         top += len(partials) * rows
         columns = partials + (columns[-1:] if rest == 1 else [])  # a one-child chunk as is
-    steps.append((op, columns))
+    steps.append((op, columns, role))
     return range(top, top + rows)
 
 
@@ -291,38 +285,32 @@ def _make_group(top: int, steps: list, op, parts: list) -> list:
 def _hand_over(labels: list, steps: list) -> _Internal:
     """The root of a build or a parse: a bare Sum or Product, the kind of
     the last step, holding only its slot plan (labels, steps) (see _plan).
-    Its children are made from the plan when first read (see
-    _nodes_of_plan)."""
+    Its children are made from the plan when first read (see _spliced)."""
     e = object.__new__(Sum if steps[-1][0] is add else Product)
     object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
 
 
-def _nodes_of_plan(labels: list, steps: list) -> _Internal:
-    """The DAG of a handed-over slot plan, made in one columnar pass per
-    step: one node per row, one Term per label, and the root last.
-
-    A builder's or parse's tree is simplified: no Sum has a Sum child and
-    no Product a Product child.  A run of consecutive steps of one op holds
-    nodes of its kind only: groups that a builder plans in a row, or bins
-    that parse sorts by height with products before sums, so that a run
-    spans two heights only through groups of one kind.  So a step reads a
-    slot of its own run only where that slot holds a chunk partial of a
-    wide node, which the same _add_steps call placed just before the node
-    (see _add_steps); the partials' children are spliced in, in chunk
-    order."""
-    nodes: list = [ZERO, UNIT, *map(Term, labels)]
-    run = low = None  # the op of the current run of steps, and its first slot
-    for op, columns in steps:
-        if op is not run:
-            run, low = op, len(nodes)
-        kind = Sum if op is add else Product
-        rows = zip(*[map(nodes.__getitem__, column) for column in columns])
-        if any(max(column) >= low for column in columns):
-            rows = (tuple(chain.from_iterable(c.children if type(c) is kind else (c,) for c in row))
+def _spliced(e: _Internal, leaf, node):
+    """The last slot's value of one pass over e's slot plan (_plan): ZERO
+    and UNIT, leaf(label) for each label, then node(kind, rows) for each
+    step of Sum or Product nodes, rows holding each node's tuple of child
+    values.  A chunk partial's slot holds its tuple of child values, which
+    the step right after its run of partials splices in, in chunk order;
+    an empty node's row is ().  Node values must not be plain tuples."""
+    labels, steps = _plan(e)
+    slots = [ZERO, UNIT, *map(leaf, labels)]
+    splice = False  # whether the step before was one of partials
+    for op, columns, role in steps:
+        rows = zip(*[map(slots.__getitem__, column) for column in columns])
+        if role == "empty":
+            rows = repeat((), len(columns[0]))
+        elif splice:
+            rows = (tuple(chain.from_iterable(c if type(c) is tuple else (c,) for c in row))
                     for row in rows)
-        nodes += map(kind, rows)
-    return nodes[-1]
+        splice = role == "partial"
+        slots += rows if splice else node(Sum if op is add else Product, rows)
+    return slots[-1]
 
 
 def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None) -> list:
@@ -337,8 +325,9 @@ def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None) -> list:
         op = add if is_sum else mul
         columns = [[*map(slot.__getitem__, column if key is None else map(key, column))]
                    for column in zip(*map(kids, xs))]
-        # an unsimplified empty node has one child, the identity
-        placed = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], top)
+        # an unsimplified empty node is planned over one child, the identity
+        placed = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], top,
+                            "node" if columns else "empty")
         slot.update(zip(xs if key is None else map(key, xs), placed))
         top = placed.stop
     return steps
@@ -355,10 +344,11 @@ def _plan(e: Expression) -> tuple:
     Sum over it, which has its value.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
-    values of `labels`.  Each step (op, columns) then appends one value per
-    node of a group: the node's children are read from the slots in
-    column j at its position and combined with op (add for a Sum, mul for
-    a Product).  The root is the last slot.  A plan holds labels and slot
+    values of `labels`.  Each step (op, columns, role) then appends one
+    value per node of a group: the node's children are read from the slots
+    in column j at its position and combined with op (add for a Sum, mul
+    for a Product).  Folds ignore the role, which only _spliced reads (see
+    _add_steps).  The root is the last slot.  A plan holds labels and slot
     numbers only, never a node, so caching it on the root makes no cycle."""
     if not isinstance(e, _Internal):
         e = Sum((e,))
@@ -395,7 +385,7 @@ def _fold(e: Expression, leaves, zero, one, on_sum, on_product):
     vals = [zero, one, *map(leaves, labels)]
     sums = bytearray(len(vals))  # 1 at each slot that holds a Sum
     get, is_sum = vals.__getitem__, sums.__getitem__
-    for op, columns in steps:
+    for op, columns, _ in steps:
         values = [map(get, column) for column in columns]
         if op is add:
             vals += on_sum(values)
@@ -498,7 +488,7 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
         except KeyError as exc:
             raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
         get = vals.__getitem__
-        for op, columns in steps:
+        for op, columns, _ in steps:
             acc = map(get, columns[0])
             for column in columns[1:]:
                 acc = map(op, acc, map(get, column))
@@ -512,9 +502,9 @@ def labels_of(e: Expression) -> Counter:
     over its slot plan's steps in reverse, parents first: each slot's print
     count is complete before it adds that count to each of its child slots."""
     labels, steps = _plan(e)
-    top = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
+    top = 2 + len(labels) + sum(len(columns[0]) for _, columns, _ in steps)
     printed = [0] * (top - 1) + [1]  # the root, printed once
-    for _, columns in reversed(steps):
+    for _, columns, _ in reversed(steps):
         top -= len(columns[0])
         counts = printed[top:top + len(columns[0])]
         for column in columns:

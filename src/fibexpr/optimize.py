@@ -23,7 +23,8 @@ from operator import add
 from . import graph
 from .decompose import (FixedMap, GdSpec, Leftmost, MiddleHigh, MiddleLow, Seeded, decompose,
                         decompose_gd)
-from .expr import ExprError, Expression, SizeExceeded, metric_plus, metric_terms
+from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, metric_plus,
+                   metric_terms)
 from .graph import _check_n, verify
 
 
@@ -287,11 +288,14 @@ def build_expression(n: int, method: str, *, m: int | None = None,
 def complexity_table(n_max: int, method: str = "middle") -> list[ComplexityRecord]:
     """Records for n = 2..n_max; equivalence by full expansion up to n=14,
     by modular sampling beyond.  An n_max above COMPLEXITY_TABLE_BOUND
-    raises SizeExceeded before any row is built."""
+    raises SizeExceeded before any row is built, as does a canonical table
+    whose last row has more paths than DEFAULT_EXPANSION_BOUND."""
     _check_n(n_max, minimum=2)
     if n_max > COMPLEXITY_TABLE_BOUND:
         raise SizeExceeded(f"n_max={n_max}: the complexity table exceeds bound "
                            f"{COMPLEXITY_TABLE_BOUND}")
+    if method == "canonical":
+        graph._path_count(n_max, DEFAULT_EXPANSION_BOUND)
     rows = []
     for n in range(2, n_max + 1):
         e = build_expression(n, method)

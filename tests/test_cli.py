@@ -333,6 +333,13 @@ def test_oversized_complexity_table_exits_2_at_once(n_max):
     assert result.output == f"Error: n_max={n_max}: the complexity table exceeds bound 2000\n"
 
 
+def test_oversized_canonical_table_exits_2_at_once():
+    # every row up to n = 30 would be built and verified before n = 31 failed
+    result = run("table", "--n-max", "31", "--method", "canonical")
+    assert result.exit_code == 2
+    assert result.output == "Error: n=31: the number of paths exceeds bound 1000000\n"
+
+
 def test_expand_refuses_a_large_n_at_once(tmp_path):
     # the path count is not computed past the bound, so n = 10^6 costs no
     # million big-integer additions

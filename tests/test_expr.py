@@ -320,6 +320,55 @@ def test_empty_nodes_print_their_identity():
     assert (formula_length(e), metric_plus(e), metric_terms(e)) == (8, 3, 1)
 
 
+def pair_walk_eq(x, y):
+    """The reference for ==: x and y walked in pairs with an explicit stack,
+    each pair once, equal when every pair has one type, equal leaves and
+    equal child counts."""
+    seen, stack = set(), [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if not isinstance(x, (Sum, Product)):
+            if x != y:
+                return False
+            continue
+        if (id(x), id(y)) in seen:
+            continue
+        if len(x.children) != len(y.children):
+            return False
+        seen.add((id(x), id(y)))
+        stack.extend(zip(x.children, y.children))
+    return True
+
+
+def rebuilt(e):
+    """A copy of e that shares no node or Term with it."""
+    if isinstance(e, Term):
+        return Term(e.label)
+    return type(e)(tuple(map(rebuilt, e.children))) if isinstance(e, (Sum, Product)) else e
+
+
+_bs = tuple(T("b", k) for k in range(1, 33))
+
+
+@settings(max_examples=300)
+@given(_unsimplified, _unsimplified)
+@example(Sum(()), Sum((ZERO,)))
+@example(Product(()), Product((UNIT,)))
+@example(Sum((Sum((T("a", 1), T("a", 2))), T("a", 3))), Sum((T("a", 1), T("a", 2), T("a", 3))))
+@example(Sum((Sum((T("a", 1), T("a", 2))), *_bs)), Sum((T("a", 1), T("a", 2), *_bs)))
+def test_equality_agrees_with_a_pair_walk(x, y):
+    # the last example is a 33-child Sum, whose first 32 children are one
+    # chunk, against the 34-child Sum that its first child spliced in makes
+    for p, q in ((x, y), (y, x), (x, rebuilt(x)), (x, simplify(x)), (y, simplify(y))):
+        assert (p == q) is pair_walk_eq(p, q)
+        if p == q:
+            assert hash(p) == hash(q)
+
+
 @settings(max_examples=200)
 @given(_expressions)
 def test_parse_of_format_is_simplify(e):

@@ -443,6 +443,18 @@ class TestComplexityTable:
         rows = complexity_table(6)
         assert [r.n for r in rows] == [2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("n_max", [31, 2000])
+    def test_canonical_path_bound_is_checked_before_any_build(self, n_max, monkeypatch):
+        # rows up to n = 30 would be built and verified before n = 31 failed
+        def no_build(*args, **kwargs):
+            raise AssertionError("a row was built before the refusal")
+
+        monkeypatch.setattr(optimize, "build_expression", no_build)
+        with pytest.raises(SizeExceeded, match=f"n={n_max}: the number of paths exceeds"):
+            complexity_table(n_max, "canonical")
+        with pytest.raises(AssertionError, match="a row was built"):
+            complexity_table(30, "canonical")  # within the bound, so building starts
+
 
 class TestBuildExpression:
     def test_dispatch_errors(self):

@@ -46,6 +46,7 @@ from fibexpr.expr import (
     sumof,
 )
 from fibexpr.graph import canonical_expression, edges, verify
+from test_expr import pair_walk_eq, rebuilt
 
 PRIME = 10007
 SIZES = range(1, 61)
@@ -156,7 +157,7 @@ class TestHandedOverOrder:
             labels, steps = plan
             assert sorted(labels) == sorted(labels_of(e)), f"{name}: other labels than the tree's"
             filled = 2 + len(labels)
-            for op, columns in steps:
+            for op, columns, _ in steps:
                 assert op in (add, mul) and 1 <= len(columns) <= 32, name
                 rows = {len(column) for column in columns}
                 assert len(rows) == 1, f"{name}: columns of unequal length"
@@ -166,7 +167,7 @@ class TestHandedOverOrder:
             e.children  # made from the plan before it is dropped
             object.__setattr__(e, "_slot_plan", None)
             labels, steps = fibexpr.expr._plan(e)  # compiled, not handed over
-            compiled = 2 + len(labels) + sum(len(columns[0]) for _, columns in steps)
+            compiled = 2 + len(labels) + sum(len(columns[0]) for _, columns, _ in steps)
             assert filled == compiled, f"{name}: {filled} slots, its compiled plan {compiled}"
             checked += 1
         assert checked > 300
@@ -315,7 +316,7 @@ class TestParsedRoots:
     def test_dropped_groups_are_not_planned(self):
         e = parse("(a1a2)a3+b1+(a4+b2)")  # a1a2 and a4+b2 are flattened away
         labels, steps = e._slot_plan
-        assert [(op, len(columns), len(columns[0])) for op, columns in steps] == [
+        assert [(op, len(columns), len(columns[0])) for op, columns, _ in steps] == [
             (mul, 3, 1), (add, 4, 1)]
         assert format_expression(e) == "a1a2a3+b1+a4+b2"
 
@@ -473,8 +474,8 @@ class TestSlotPlan:
         e = decompose(60)
         evaluate_mod(e, Assignment.random(edges(60), PRIME, random.Random(2)))
         labels, steps = e._slot_plan
-        held = [*labels, *(op for op, _ in steps),
-                *(slot for _, columns in steps for column in columns for slot in column)]
+        held = [*labels, *(op for op, _, _ in steps),
+                *(slot for _, columns, _ in steps for column in columns for slot in column)]
         assert not any(isinstance(x, (Sum, Product, Term)) for x in held)
 
     def test_rejections(self):
@@ -543,6 +544,49 @@ class TestWideNodes:
             with pytest.raises(DuplicateMonomial) as caught:
                 expand(e)
             assert str(caught.value) == f"label repeated within a monomial: ['a{j}']"
+
+
+class TestPlanEquality:
+    """== names both sides' slots through one intern table and makes no node."""
+
+    def test_equality_agrees_with_a_pair_walk(self):
+        built = [(name, e) for name, e in built_roots() if internal(e)][::7]
+        unbuilt = [(name, e) for name, _, e in unbuilt_roots() if name != "deep-chain"]
+        checked = 0
+        for (name, e), (_, other) in zip(built + unbuilt, (built + unbuilt)[1:]):
+            pairs = [(e, simplify(e)), (e, rebuilt(e)), (e, other),
+                     (e, sumof(e.children[:-1])), (e, product(e.children[::-1]))]
+            if formula_length(e) < 10**5:
+                pairs.append((parse(format_expression(e)), e))
+            for x, y in pairs:
+                assert (x == y) is pair_walk_eq(x, y), name
+                if x == y:
+                    assert hash(x) == hash(y), name
+                    checked += 1
+        assert checked > 100
+
+    def test_equality_makes_no_node(self):
+        def fresh(e):
+            return [parse(format_expression(e)), e]
+
+        pairs = [fresh(decompose(1024)), fresh(decompose_gd(200, GdSpec(9))),
+                 fresh(decompose(320, Seeded(1))), [decompose(20000), decompose(20000)]]
+        for x, y in pairs:
+            assert x == y and y == x
+            assert "children" not in vars(x) and "children" not in vars(y)
+
+    def test_two_levels_of_chunks(self):
+        # the 10,946 summands of the root are planned as 343 chunks of at
+        # most 32, then those as 11 chunks, then the root over those
+        e = canonical_expression(21)
+        assert [role for _, _, role in e._slot_plan[1][-5:]] == ["partial"] * 4 + ["node"]
+        text = format_expression(e)
+        parsed, short = parse(text), parse(text.rsplit("+", 1)[0])
+        assert parsed == e and e == parsed
+        assert short != e and e != short
+        assert all("children" not in vars(x) for x in (e, parsed, short))
+        assert len(e.children) == 10_946 and len(short.children) == 10_945
+        assert e.children == parsed.children
 
 
 def test_hashing_node_by_node_stays_linear(monkeypatch):
