@@ -129,9 +129,11 @@ def _segment(x: int, r: int) -> tuple:
     return () if r == x else ((0, x + 1),) if r == x + 1 else ((r - x, x),)
 
 
-def _build(n: int, split) -> Expression:
+def _build(n: int, split, by_length: bool = False) -> Expression:
     """E(1, n) with each interval (p, q), q-p >= 2, split at the increasing
-    vertices split(p, q) strictly inside it.
+    vertices split(p, q) strictly inside it.  With by_length, the offsets
+    v-p of split(p, q) depend on q-p alone, so split is called once per
+    length, for the first interval found.
 
     Vertices are kept or bypassed in turn, last first, each partial summand
     carrying the end r of the segment open on its left; bypassing v needs
@@ -142,8 +144,9 @@ def _build(n: int, split) -> Expression:
     A summand's factors depend only on q-p and the split offsets v-p, so
     intervals go in templates, one per (length, offsets), each holding the
     starts p of its intervals.  Discovery goes longest length first, when a
-    length's intervals are all known, and checks each template, counts its
-    summands and finds its child intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
+    length's intervals are all known, and groups them by their offsets
+    (one group per length with by_length); it checks each template, counts
+    its summands and finds its child intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
     summands, or a build of more than _BUILD_SUMMAND_BOUND over all its
     intervals, is refused there, before any summand is enumerated or
     planned.  Construction goes shortest length first and runs the
@@ -174,9 +177,13 @@ def _build(n: int, split) -> Expression:
     templates: list[list] = [[] for _ in range(n)]  # templates[k]: (offsets, starts)
     total = 0  # summands of the intervals found so far
     for length in range(n - 1, 1, -1):
-        found: dict[tuple, list] = {}
+        found: dict[tuple, list] = {}  # offsets -> the starts p split at them
         for p in starts[length]:
-            found.setdefault(tuple(map(sub, split(p, p + length), repeat(p))), []).append(p)
+            offsets = tuple(map(sub, split(p, p + length), repeat(p)))
+            if by_length:  # every interval of this length is split alike
+                found[offsets] = [*starts[length]]
+                break
+            found.setdefault(offsets, []).append(p)
         starts[length] = None
         for offsets, ps in found.items():
             p, q = ps[0], ps[0] + length
@@ -259,7 +266,9 @@ def decompose(n: int, strategy: Strategy | None = None) -> Expression:
     """
     _check_n(n)
     strategy = strategy if strategy is not None else MiddleLow()
-    return _build(n, lambda p, q: (strategy.choose(p, q),))
+    # these three choose p plus an offset that depends on q-p alone
+    by_length = type(strategy) in (MiddleLow, MiddleHigh, Leftmost)
+    return _build(n, lambda p, q: (strategy.choose(p, q),), by_length)
 
 
 def decompose_gd(n: int, spec: GdSpec) -> Expression:
@@ -273,4 +282,5 @@ def decompose_gd(n: int, spec: GdSpec) -> Expression:
             return spec.first_positions
         return uniform_positions(p, q, spec.m)
 
-    return _build(n, split)
+    # uniform offsets depend on q-p alone, and (1, n) is alone at its length
+    return _build(n, split, by_length=True)

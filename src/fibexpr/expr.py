@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, count, repeat
-from operator import add, attrgetter, mod, mul
+from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -120,7 +120,7 @@ class _Internal:
     """
 
     _hash = None
-    _slot_plan = None  # (labels, steps), set by _plan or a builder
+    _slot_plan = None  # a _Plan (labels, steps), set by _plan or a builder
 
     def __getattr__(self, name: str):
         # only reached for an attribute the instance does not hold
@@ -206,8 +206,23 @@ class Assignment:
     @classmethod
     def random(cls, labels: Iterable[Label], prime: int = DEFAULT_PRIME,
                rng: random.Random | None = None) -> "Assignment":
+        """Independent uniform values in 1..prime-1, one per label.
+
+        Draws of (prime-1).bit_length() random bits are taken in batches,
+        those below prime-1 are kept, plus one, and the shortfall is drawn
+        again.  That is the rejection rule of rng.randrange(1, prime), run
+        over one stream of draws, so a random.Random gives the values that
+        one randrange call per label would give."""
+        if prime < 2:  # no value to draw; getrandbits(0) would never stop
+            raise ExprError(f"need a prime of at least 2, got {prime}")
         rng = rng or random.Random()
-        return cls({lab: rng.randrange(1, prime) for lab in labels}, prime)
+        labels = [*labels]
+        bits, below = (prime - 1).bit_length(), prime - 1
+        values: list[int] = []
+        while len(values) < len(labels):
+            values += [r + 1 for r in map(rng.getrandbits, repeat(bits, len(labels) - len(values)))
+                       if r < below]
+        return cls(dict(zip(labels, values)), prime)
 
 
 def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
@@ -282,12 +297,49 @@ def _make_group(top: int, steps: list, op, parts: list) -> list:
     return [*map(range, ends, ends[1:])]
 
 
+class _Plan(tuple):
+    """A slot plan (labels, steps) (see _plan), which works out on first use
+    which of its steps evaluate_mod must reduce."""
+
+    @cached_property
+    def reduces(self) -> list:
+        """For each step, whether its values must be reduced mod p.  A step
+        may keep them unreduced when every slot it reads holds a reduced
+        value and, for a product, no product reads its slots (so no chunk
+        partial of a product stays unreduced).  Then an unreduced slot holds
+        below 32p (a sum) or p^32 (a product), every step that reads one
+        reduces, and a value before reduction stays below (32p)^32."""
+        labels, steps = self
+        start = top = 2 + len(labels)
+        size = top + sum(len(columns[0]) for _, columns, _ in steps)
+        products = bytearray(size)  # 1 at each slot that holds a product
+        read = bytearray(size)  # 1 at least at each product slot that a product reads
+        for op, columns, _ in steps:
+            rows = len(columns[0])
+            if op is mul:
+                for column in columns:
+                    if any(map(products.__getitem__, column)):
+                        deque(map(read.__setitem__, column, repeat(1)), 0)
+                products[top:top + rows] = b"\1" * rows
+            top += rows
+        unreduced = bytearray(size)  # 1 at each slot that holds an unreduced value
+        top, out = start, []
+        for op, columns, _ in steps:
+            rows = len(columns[0])
+            out.append(any(any(map(unreduced.__getitem__, column)) for column in columns)
+                       or op is mul and 1 in read[top:top + rows])
+            if not out[-1]:
+                unreduced[top:top + rows] = b"\1" * rows
+            top += rows
+        return out
+
+
 def _hand_over(labels: list, steps: list) -> _Internal:
     """The root of a build or a parse: a bare Sum or Product, the kind of
     the last step, holding only its slot plan (labels, steps) (see _plan).
     Its children are made from the plan when first read (see _spliced)."""
     e = object.__new__(Sum if steps[-1][0] is add else Product)
-    object.__setattr__(e, "_slot_plan", (labels, steps))
+    object.__setattr__(e, "_slot_plan", _Plan((labels, steps)))
     return e
 
 
@@ -349,7 +401,8 @@ def _plan(e: Expression) -> tuple:
     in column j at its position and combined with op (add for a Sum, mul
     for a Product).  Folds ignore the role, which only _spliced reads (see
     _add_steps).  The root is the last slot.  A plan holds labels and slot
-    numbers only, never a node, so caching it on the root makes no cycle."""
+    numbers only, never a node, so caching it on the root makes no cycle.
+    It is a _Plan, which also works out which steps evaluate_mod reduces."""
     if not isinstance(e, _Internal):
         e = Sum((e,))
     plan = e._slot_plan
@@ -366,7 +419,7 @@ def _plan(e: Expression) -> tuple:
                 labels.append(c.label)
         height[id(x)] = h + 1
         bins.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
-    plan = labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id)
+    plan = _Plan((labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id)))
     object.__setattr__(e, "_slot_plan", plan)
     return plan
 
@@ -473,27 +526,33 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     v is one Assignment, giving an int, or a sequence of Assignments that
     share one prime, giving a list with one residue per point.  Either way
     each point runs e's cached slot plan (_plan): its label values, then one
-    list extension per group of nodes, with every child read, combined and
-    reduced in C, so each distinct node costs a few map steps per point.
+    list extension per group of nodes, with each column of children read by
+    an itemgetter and combined in C, so each distinct node costs a few C
+    steps per point.  A step's values are reduced mod p only where the plan
+    says it must (_Plan.reduces), and the root at the end.
     """
     points = _as_batch(v)
     if not points:
         return []
     p = points[0].prime
-    labels, steps = _plan(e)
+    labels, steps = plan = _plan(e)
     out = []
     for pt in points:
         try:
             vals = [0, 1, *map(mod, map(pt.values.__getitem__, labels), repeat(p))]
         except KeyError as exc:
             raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
-        get = vals.__getitem__
-        for op, columns, _ in steps:
-            acc = map(get, columns[0])
-            for column in columns[1:]:
-                acc = map(op, acc, map(get, column))
-            vals += map(mod, acc, repeat(p))
-        out.append(vals[-1])
+        for (op, columns, _), reduce in zip(steps, plan.reduces):
+            if len(columns[0]) == 1:  # an itemgetter of one slot gives no tuple
+                acc = [vals[columns[0][0]]]
+                for column in columns[1:]:
+                    acc[0] = op(acc[0], vals[column[0]])
+            else:
+                acc = itemgetter(*columns[0])(vals)
+                for column in columns[1:]:
+                    acc = map(op, acc, itemgetter(*column)(vals))
+            vals += map(mod, acc, repeat(p)) if reduce else acc
+        out.append(vals[-1] % p)
     return out[0] if isinstance(v, Assignment) else out
 
 

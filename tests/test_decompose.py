@@ -17,6 +17,7 @@ from fibexpr.decompose import (
     MiddleHigh,
     MiddleLow,
     Seeded,
+    _build,
     decompose,
     decompose_gd,
     uniform_positions,
@@ -30,6 +31,7 @@ from fibexpr.expr import (
     Term,
     UNIT,
     ZERO,
+    _plan,
     _walk,
     a,
     b,
@@ -419,3 +421,38 @@ def test_deep_builds_evaluate_like_the_oracle(n, strategy):
     e = decompose(n, strategy)
     point = Assignment.random(edges(n), rng=random.Random(n))
     assert evaluate_mod(e, point) == oracle_eval_mod(n, point)
+
+
+@pytest.mark.parametrize("strategy", [MiddleLow(), MiddleHigh(), Leftmost()])
+def test_one_split_per_length_gives_the_per_interval_plan(strategy):
+    # FixedMap({}, s) chooses like s but is split once per interval
+    for n in range(1, 301):
+        assert _plan(decompose(n, strategy)) == _plan(decompose(n, FixedMap({}, strategy))), n
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_uniform_gd_split_per_length_gives_the_per_interval_plan(m):
+    for n in range(2, 261):
+        for first in [None] + ([(n // 3 + 1, n - 2)] if n >= 6 else []):
+            def split(p, q):
+                if (p, q) == (1, n) and first is not None:
+                    return first
+                return uniform_positions(p, q, m)
+
+            # _build without by_length calls split once per interval
+            assert _plan(decompose_gd(n, GdSpec(m, first))) == _plan(_build(n, split)), \
+                (n, m, first)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: decompose_gd(10, GdSpec(3, (5, 3))), r"vertices \[5, 3\] invalid for interval \(1,10\)"),
+    (lambda: decompose_gd(10, GdSpec(3, ())), r"no vertices for interval \(1,10\)"),
+    (lambda: decompose_gd(10, GdSpec(3, (1, 5))), r"vertices \[1, 5\] invalid for interval \(1,10\)"),
+    (lambda: decompose_gd(10, GdSpec(3, (5, 10))), r"vertices \[5, 10\] invalid for interval \(1,10\)"),
+    (lambda: decompose(10, FixedMap({(1, 10): 1})), r"vertices \[1\] invalid for interval \(1,10\)"),
+    (lambda: decompose(10, FixedMap({(1, 10): 5, (1, 5): 5})),
+     r"vertices \[5\] invalid for interval \(1,5\)"),
+])
+def test_invalid_vertex_messages(build, message):
+    with pytest.raises(InvalidVertexChoice, match=f"^{message}$"):
+        build()

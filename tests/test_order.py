@@ -8,6 +8,7 @@ import weakref
 from operator import add, mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fibexpr.expr
 from fibexpr.decompose import (
@@ -46,7 +47,7 @@ from fibexpr.expr import (
     sumof,
 )
 from fibexpr.graph import canonical_expression, edges, verify
-from test_expr import pair_walk_eq, rebuilt
+from test_expr import _unsimplified, pair_walk_eq, rebuilt
 
 PRIME = 10007
 SIZES = range(1, 61)
@@ -608,3 +609,77 @@ def test_hashing_node_by_node_stays_linear(monkeypatch):
     assert len(walked) == len(nodes)
     assert sum(walked) <= len(nodes)  # about 12.5M if cached hashes were walked again
     assert hash(e) == want
+
+
+def reduction_roots():
+    """Hand-made roots whose steps read unreduced values if any can."""
+    labels = [Term(a(k)) for k in range(1, 168)]
+    # 32 distinct products of 32 labels under one product: 200 distinct nodes
+    yield "product-of-products", Product(tuple(
+        Product(tuple(labels[(32 * i + j) % 167] for j in range(32))) for i in range(32)))
+    yield "sum-of-wide-products", Sum(tuple(
+        Product(tuple(Term(a(1 + (7 * i + j) % 300)) for j in range(1024))) for i in range(100)))
+    x = Term(a(1))
+    for _ in range(3000):
+        x = Sum((x, x))
+    yield "doubling-chain", x
+
+
+def largest_values(e, pt):
+    """evaluate_mod's fold over e's plan, one node at a time: the largest
+    value a step stores unreduced, and the largest before any reduction."""
+    plan = fibexpr.expr._plan(e)
+    labels, steps = plan
+    p = pt.prime
+    vals = [0, 1, *(pt.values[lab] % p for lab in labels)]
+    stored = combined = 0
+    for (op, columns, _), reduce in zip(steps, plan.reduces):
+        for row in zip(*columns):
+            acc = vals[row[0]]
+            for s in row[1:]:
+                acc = op(acc, vals[s])
+                combined = max(combined, acc)
+            vals.append(acc % p if reduce else acc)
+            stored = stored if reduce else max(stored, acc)
+    assert vals[-1] % p == evaluate_mod(e, pt)
+    return stored, combined
+
+
+class TestReductions:
+    """evaluate_mod reduces a step only where a value could grow past
+    (32p)^32; the residues are those of a fold that reduces every node."""
+
+    @pytest.mark.parametrize("prime", [10007, 2**31 - 1, 2**127 - 1])
+    @pytest.mark.parametrize("case", range(3))
+    def test_residues_match_a_fold_that_reduces_every_node(self, case, prime):
+        name, e = list(reduction_roots())[case]
+        rng = random.Random(case)
+        pts = [Assignment.random(sorted(labels_of(e)), prime, rng) for _ in range(3)]
+        want = [local_fold(e, pt.values, prime)[0] for pt in pts]
+        assert evaluate_mod(e, pts) == want, name
+        assert evaluate_mod(e, pts[0]) == want[0], name
+        stored, combined = largest_values(e, pts[0])
+        assert stored < prime**32 and combined < (32 * prime)**32, name
+
+    def test_a_product_read_by_a_product_is_reduced(self):
+        # else the outer product would reach p^1024; the root, which no step
+        # reads, is reduced after the last step
+        name, e = next(reduction_roots())
+        labels, steps = plan = fibexpr.expr._plan(e)
+        assert [op for op, _, _ in steps] == [mul, mul] and plan.reduces == [True, False]
+
+    def test_builder_plans_stay_below_the_bound(self):
+        for name, e in built_roots():
+            if internal(e):
+                pt = Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))
+                stored, combined = largest_values(e, pt)
+                assert stored < PRIME**32 and combined < (32 * PRIME)**32, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unsimplified, st.sampled_from([3, 10007, 2**61 - 1]), st.integers(0, 2**32))
+    def test_unsimplified_trees(self, e, prime, seed):
+        labels = sorted(labels_of(e)) or [a(1)]
+        pt = Assignment.random(labels, prime, random.Random(seed))
+        assert evaluate_mod(e, pt) == local_fold(e, pt.values, prime)[0]
+        stored, combined = largest_values(e, pt)
+        assert stored < prime**32 and combined < (32 * prime)**32

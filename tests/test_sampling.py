@@ -434,3 +434,43 @@ class TestIsPrime:
                                    3825123056546413051, 2**64 - 1, (2**31 - 1) ** 2])
     def test_composites(self, m):
         assert not is_prime(m)
+
+
+class TestRandomPoints:
+    """Assignment.random: independent uniform values in 1..prime-1."""
+
+    @pytest.mark.parametrize("prime", [1, 0, -7])
+    def test_refuses_a_prime_below_2(self, prime):
+        with pytest.raises(ExprError, match="prime of at least 2"):
+            Assignment.random(edges(5), prime, random.Random(0))
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 2**31 - 1, 2**127 - 1, 2**521 - 1])
+    def test_values_lie_in_1_to_prime_minus_1(self, prime):
+        labels = edges(400)
+        pt = Assignment.random(labels, prime, random.Random(prime % 1000))
+        assert pt.prime == prime and list(pt.values) == labels
+        assert all(1 <= v <= prime - 1 for v in pt.values.values())
+        if prime > 5:
+            assert len(set(pt.values.values())) > 790  # not one value repeated
+
+    @pytest.mark.parametrize("prime", [5, 7])
+    def test_counts_fit_a_uniform_draw(self, prime):
+        draws = 20_000
+        labels = [a(k) for k in range(1, draws + 1)]
+        counts = Counter(Assignment.random(labels, prime, random.Random(prime)).values.values())
+        assert sorted(counts) == list(range(1, prime))
+        # each count is binomial(draws, 1/(prime-1)); allow five standard deviations
+        q = 1 / (prime - 1)
+        spread = 5 * math.sqrt(draws * q * (1 - q))
+        assert all(abs(k - draws * q) < spread for k in counts.values()), counts
+
+    def test_labels_may_come_from_a_generator(self):
+        labels = edges(30)
+        from_list = Assignment.random(labels, PRIME, random.Random(4))
+        from_generator = Assignment.random((lab for lab in labels), PRIME, random.Random(4))
+        assert from_generator == from_list
+
+    def test_one_seed_gives_one_assignment(self):
+        draws = [Assignment.random(edges(60), 5, random.Random(9)) for _ in range(2)]
+        assert draws[0] == draws[1]
+        assert draws[0] != Assignment.random(edges(60), 5, random.Random(10))
