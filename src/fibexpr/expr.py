@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -120,7 +120,7 @@ class _Internal:
     """
 
     _hash = None
-    _slot_plan = None  # a _Plan (labels, steps), set by _plan or a builder
+    _slot_plan = None  # the plan (labels, steps), set by _plan or a builder
 
     def __getattr__(self, name: str):
         # only reached for an attribute the instance does not hold
@@ -213,8 +213,7 @@ class Assignment:
         again.  That is the rejection rule of rng.randrange(1, prime), run
         over one stream of draws, so a random.Random gives the values that
         one randrange call per label would give."""
-        if prime < 2:  # no value to draw; getrandbits(0) would never stop
-            raise ExprError(f"need a prime of at least 2, got {prime}")
+        _check_prime(prime)  # below 2 no value to draw; getrandbits(0) would never stop
         rng = rng or random.Random()
         labels = [*labels]
         bits, below = (prime - 1).bit_length(), prime - 1
@@ -225,11 +224,19 @@ class Assignment:
         return cls(dict(zip(labels, values)), prime)
 
 
+def _check_prime(prime) -> None:
+    """Refuse a modulus that is not an int of at least 2 (a bool is not one)."""
+    if type(prime) is not int or prime < 2:
+        raise ExprError(f"need an int prime of at least 2, got {prime!r}")
+
+
 def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
-    """The points of a scalar or batch evaluation, checked to share a prime."""
+    """The points of a scalar or batch evaluation, checked to share a valid prime."""
     points = [v] if isinstance(v, Assignment) else list(v)
-    if any(pt.prime != points[0].prime for pt in points):
-        raise ExprError("all points of one evaluation must share a prime")
+    for pt in points:
+        _check_prime(pt.prime)
+        if pt.prime != points[0].prime:
+            raise ExprError("all points of one evaluation must share a prime")
     return points
 
 
@@ -269,7 +276,8 @@ def _add_steps(steps: list, op, columns: list, top: int, role: str = "node") -> 
     per row.  Each step is (op, columns, role).  A wide node's chunk
     partials take the slots before them, in steps of role "partial", and
     the free slot after them is the range's stop; the nodes' own step has
-    the given role, "empty" for empty nodes planned over their identity."""
+    the given role: "empty" for empty nodes planned over their identity,
+    "factor" for products that a product reads, else "node"."""
     rows = len(columns[0])
     while len(columns) > _WIDE:  # first each node's chunks, then their results
         whole, rest = divmod(len(columns), _WIDE)
@@ -297,49 +305,12 @@ def _make_group(top: int, steps: list, op, parts: list) -> list:
     return [*map(range, ends, ends[1:])]
 
 
-class _Plan(tuple):
-    """A slot plan (labels, steps) (see _plan), which works out on first use
-    which of its steps evaluate_mod must reduce."""
-
-    @cached_property
-    def reduces(self) -> list:
-        """For each step, whether its values must be reduced mod p.  A step
-        may keep them unreduced when every slot it reads holds a reduced
-        value and, for a product, no product reads its slots (so no chunk
-        partial of a product stays unreduced).  Then an unreduced slot holds
-        below 32p (a sum) or p^32 (a product), every step that reads one
-        reduces, and a value before reduction stays below (32p)^32."""
-        labels, steps = self
-        start = top = 2 + len(labels)
-        size = top + sum(len(columns[0]) for _, columns, _ in steps)
-        products = bytearray(size)  # 1 at each slot that holds a product
-        read = bytearray(size)  # 1 at least at each product slot that a product reads
-        for op, columns, _ in steps:
-            rows = len(columns[0])
-            if op is mul:
-                for column in columns:
-                    if any(map(products.__getitem__, column)):
-                        deque(map(read.__setitem__, column, repeat(1)), 0)
-                products[top:top + rows] = b"\1" * rows
-            top += rows
-        unreduced = bytearray(size)  # 1 at each slot that holds an unreduced value
-        top, out = start, []
-        for op, columns, _ in steps:
-            rows = len(columns[0])
-            out.append(any(any(map(unreduced.__getitem__, column)) for column in columns)
-                       or op is mul and 1 in read[top:top + rows])
-            if not out[-1]:
-                unreduced[top:top + rows] = b"\1" * rows
-            top += rows
-        return out
-
-
 def _hand_over(labels: list, steps: list) -> _Internal:
     """The root of a build or a parse: a bare Sum or Product, the kind of
     the last step, holding only its slot plan (labels, steps) (see _plan).
     Its children are made from the plan when first read (see _spliced)."""
     e = object.__new__(Sum if steps[-1][0] is add else Product)
-    object.__setattr__(e, "_slot_plan", _Plan((labels, steps)))
+    object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
 
 
@@ -365,22 +336,24 @@ def _spliced(e: _Internal, leaf, node):
     return slots[-1]
 
 
-def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None) -> list:
+def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None, factors=frozenset()) -> list:
     """The plan steps of nodes binned by (height, is Sum, arity): one
     _add_steps run per bin, in sorted order, so every node comes after its
     children and, within one height, products come before sums.  kids(x)
     lists node x's children; slot maps each leaf's key(leaf) (the leaf
     itself if key is None) to its slot and takes each node's as it is
-    placed, top being the first free slot."""
+    placed, top being the first free slot.  A bin that holds the key of a
+    node in factors (a product that a product reads) has role "factor"."""
     steps = []
     for (_, is_sum, _), xs in sorted(bins.items()):
         op = add if is_sum else mul
+        keys = xs if key is None else [*map(key, xs)]
         columns = [[*map(slot.__getitem__, column if key is None else map(key, column))]
                    for column in zip(*map(kids, xs))]
+        role = "empty" if not columns else "factor" if not factors.isdisjoint(keys) else "node"
         # an unsimplified empty node is planned over one child, the identity
-        placed = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], top,
-                            "node" if columns else "empty")
-        slot.update(zip(xs if key is None else map(key, xs), placed))
+        placed = _add_steps(steps, op, columns or [[int(op is mul)] * len(xs)], top, role)
+        slot.update(zip(keys, placed))
         top = placed.stop
     return steps
 
@@ -390,36 +363,40 @@ def _plan(e: Expression) -> tuple:
     over a list of value slots.  The builders and parse hand it over with
     their root; a hand-made, mutated or child root is compiled on first use,
     in one pass over its distinct nodes children first, and cached.  That
-    pass gives each label a slot as it first appears and bins the nodes by
-    (height, kind, arity) for _steps_of_bins; the root, alone at the
-    greatest height, is the last bin.  A leaf is planned as the one-child
-    Sum over it, which has its value.
+    pass gives each label a slot as it first appears, marks each product
+    that a product reads, and bins the nodes by (height, kind, arity) for
+    _steps_of_bins; the root, alone at the greatest height, is the last
+    bin.  A leaf is planned as the one-child Sum over it, which has its
+    value.  The builders' products are never read by a product, and parse
+    flattens them, so neither marks any.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns, role) then appends one
     value per node of a group: the node's children are read from the slots
     in column j at its position and combined with op (add for a Sum, mul
-    for a Product).  Folds ignore the role, which only _spliced reads (see
-    _add_steps).  The root is the last slot.  A plan holds labels and slot
-    numbers only, never a node, so caching it on the root makes no cycle.
-    It is a _Plan, which also works out which steps evaluate_mod reduces."""
+    for a Product).  Folds ignore the role, which _spliced and evaluate_mod
+    read (see _add_steps).  The root is the last slot.  A plan holds labels
+    and slot numbers only, never a node, so caching it on the root makes no
+    cycle."""
     if not isinstance(e, _Internal):
         e = Sum((e,))
     plan = e._slot_plan
     if plan is not None:
         return plan
-    slot, labels, height, bins = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}
+    slot, labels, height, bins, factors = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}, set()
     for x in chain(_walk(e), (e,)):
         h = 0
         for c in x.children:
             if isinstance(c, _Internal):
                 h = max(h, height[id(c)])
+                if type(x) is type(c) is Product:
+                    factors.add(id(c))
             elif id(c) not in slot:
                 slot[id(c)] = len(labels) + 2
                 labels.append(c.label)
         height[id(x)] = h + 1
         bins.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
-    plan = _Plan((labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id)))
+    plan = labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id, factors)
     object.__setattr__(e, "_slot_plan", plan)
     return plan
 
@@ -528,21 +505,23 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     each point runs e's cached slot plan (_plan): its label values, then one
     list extension per group of nodes, with each column of children read by
     an itemgetter and combined in C, so each distinct node costs a few C
-    steps per point.  A step's values are reduced mod p only where the plan
-    says it must (_Plan.reduces), and the root at the end.
+    steps per point.  A step's values are reduced mod p unless it is a
+    product step of role "node", which no product reads (see _plan), so an
+    unreduced value is below p^32, only sums read it, and no value before a
+    reduction reaches 32 p^32.  The root is reduced at the end.
     """
     points = _as_batch(v)
     if not points:
         return []
     p = points[0].prime
-    labels, steps = plan = _plan(e)
+    labels, steps = _plan(e)
     out = []
     for pt in points:
         try:
             vals = [0, 1, *map(mod, map(pt.values.__getitem__, labels), repeat(p))]
         except KeyError as exc:
             raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
-        for (op, columns, _), reduce in zip(steps, plan.reduces):
+        for op, columns, role in steps:
             if len(columns[0]) == 1:  # an itemgetter of one slot gives no tuple
                 acc = [vals[columns[0][0]]]
                 for column in columns[1:]:
@@ -551,7 +530,7 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
                 acc = itemgetter(*columns[0])(vals)
                 for column in columns[1:]:
                     acc = map(op, acc, itemgetter(*column)(vals))
-            vals += map(mod, acc, repeat(p)) if reduce else acc
+            vals += acc if op is mul and role == "node" else map(mod, acc, repeat(p))
         out.append(vals[-1] % p)
     return out[0] if isinstance(v, Assignment) else out
 

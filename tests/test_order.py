@@ -5,6 +5,7 @@ import gc
 import random
 import re
 import weakref
+from itertools import chain
 from operator import add, mul
 
 import pytest
@@ -626,14 +627,15 @@ def reduction_roots():
 
 
 def largest_values(e, pt):
-    """evaluate_mod's fold over e's plan, one node at a time: the largest
-    value a step stores unreduced, and the largest before any reduction."""
-    plan = fibexpr.expr._plan(e)
-    labels, steps = plan
+    """evaluate_mod's fold over e's plan, one node at a time, reducing every
+    step but the "node" steps of products: the largest value a step stores
+    unreduced, and the largest before any reduction."""
+    labels, steps = fibexpr.expr._plan(e)
     p = pt.prime
     vals = [0, 1, *(pt.values[lab] % p for lab in labels)]
     stored = combined = 0
-    for (op, columns, _), reduce in zip(steps, plan.reduces):
+    for op, columns, role in steps:
+        reduce = op is add or role != "node"
         for row in zip(*columns):
             acc = vals[row[0]]
             for s in row[1:]:
@@ -646,8 +648,9 @@ def largest_values(e, pt):
 
 
 class TestReductions:
-    """evaluate_mod reduces a step only where a value could grow past
-    (32p)^32; the residues are those of a fold that reduces every node."""
+    """evaluate_mod leaves only the "node" steps of products unreduced, so
+    values stay below 32 p^32; the residues are those of a fold that reduces
+    every node."""
 
     @pytest.mark.parametrize("prime", [10007, 2**31 - 1, 2**127 - 1])
     @pytest.mark.parametrize("case", range(3))
@@ -659,21 +662,68 @@ class TestReductions:
         assert evaluate_mod(e, pts) == want, name
         assert evaluate_mod(e, pts[0]) == want[0], name
         stored, combined = largest_values(e, pts[0])
-        assert stored < prime**32 and combined < (32 * prime)**32, name
+        assert stored < prime**32 and combined < 32 * prime**32, name
 
     def test_a_product_read_by_a_product_is_reduced(self):
         # else the outer product would reach p^1024; the root, which no step
         # reads, is reduced after the last step
         name, e = next(reduction_roots())
-        labels, steps = plan = fibexpr.expr._plan(e)
-        assert [op for op, _, _ in steps] == [mul, mul] and plan.reduces == [True, False]
+        labels, steps = fibexpr.expr._plan(e)
+        assert [(op, role) for op, _, role in steps] == [(mul, "factor"), (mul, "node")]
+
+    def test_a_product_read_by_a_sum_and_a_product_is_a_factor(self):
+        x = Product((Term(a(1)), Term(a(2))))
+        read_by_a_sum = Sum((x, Term(a(3))))
+        read_by_both = Sum((x, Product((x, Term(a(3))))))
+        assert [role for _, _, role in fibexpr.expr._plan(read_by_a_sum)[1]] == ["node", "node"]
+        labels, steps = fibexpr.expr._plan(read_by_both)
+        assert [(op, role) for op, _, role in steps] == [
+            (mul, "factor"), (mul, "node"), (add, "node")]
+        pt = Assignment.random(labels, PRIME, random.Random(0))
+        assert evaluate_mod(read_by_both, pt) == local_fold(read_by_both, pt.values)[0]
+
+    def test_only_the_node_steps_of_products_stay_unreduced(self, monkeypatch):
+        # evaluate_mod's own reductions, counted, against the rule that
+        # largest_values follows: the labels, then every row of every step
+        # but the "node" steps of products
+        calls = []
+        monkeypatch.setattr(fibexpr.expr, "mod", lambda x, p: calls.append(x) or x % p)
+        x = Product((Term(a(1)), Term(a(2))))
+        roots = [*reduction_roots(), ("decompose(64)", decompose(64)),
+                 ("decompose_gd(64, m=3)", decompose_gd(64, GdSpec(3))),
+                 ("canonical_expression(12)", canonical_expression(12)),
+                 ("factor", Sum((x, Product((x, Term(a(3))))))),
+                 ("empty", Sum((Product(()), Sum(()), Product((Term(a(1)),)), ZERO)))]
+        for name, e in roots:
+            labels, steps = fibexpr.expr._plan(e)
+            pt = Assignment.random(labels, PRIME, random.Random(0))
+            calls.clear()
+            evaluate_mod(e, pt)
+            assert len(calls) == len(labels) + sum(
+                len(columns[0]) for op, columns, role in steps if op is add or role != "node"), name
+
+    def test_no_product_of_a_handed_over_plan_reads_a_whole_product(self):
+        # why builders and parse need not mark factors: only chunk partials
+        # of products are read by products
+        plans = [(name, e._slot_plan) for name, e in built_roots() if internal(e)]
+        plans += [(name, parse(text)._slot_plan) for name, text in parsed_texts()]
+        for name, (labels, steps) in plans:
+            top, whole = 2 + len(labels), set()  # the slots of non-partial products
+            for op, columns, role in steps:
+                assert role in ("node", "partial"), name
+                if op is mul:
+                    assert whole.isdisjoint(chain.from_iterable(columns)), name
+                    if role == "node":
+                        whole.update(range(top, top + len(columns[0])))
+                top += len(columns[0])
+        assert len(plans) > 400
 
     def test_builder_plans_stay_below_the_bound(self):
         for name, e in built_roots():
             if internal(e):
                 pt = Assignment.random(sorted(labels_of(e)), PRIME, random.Random(1))
                 stored, combined = largest_values(e, pt)
-                assert stored < PRIME**32 and combined < (32 * PRIME)**32, name
+                assert stored < PRIME**32 and combined < 32 * PRIME**32, name
 
     @settings(max_examples=300, deadline=None)
     @given(_unsimplified, st.sampled_from([3, 10007, 2**61 - 1]), st.integers(0, 2**32))
@@ -682,4 +732,4 @@ class TestReductions:
         pt = Assignment.random(labels, prime, random.Random(seed))
         assert evaluate_mod(e, pt) == local_fold(e, pt.values, prime)[0]
         stored, combined = largest_values(e, pt)
-        assert stored < prime**32 and combined < (32 * prime)**32
+        assert stored < prime**32 and combined < 32 * prime**32

@@ -133,6 +133,18 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError):
             oracle_eval_mod(6, pts)
 
+    @pytest.mark.parametrize("prime", [0, -7, 1, 2.5, True])
+    def test_a_prime_that_is_not_an_int_of_at_least_2_raises(self, prime):
+        # unchecked, 0 divided by zero, -7 gave the "residue" -3 and 2.5 gave
+        # 0.65625 from evaluate_mod against 0.5 from the oracle
+        bad = Assignment(dict.fromkeys(edges(6), 3), prime)
+        good = Assignment(dict.fromkeys(edges(6), 3), 7)
+        for v in (bad, [bad], [bad, bad], [good, bad]):
+            with pytest.raises(ExprError, match="int prime of at least 2"):
+                evaluate_mod(decompose(6), v)
+            with pytest.raises(ExprError, match="int prime of at least 2"):
+                oracle_eval_mod(6, v)
+
     def test_missing_label_raises(self):
         pts = points(5, 3)
         with pytest.raises(UnassignedLabel):
@@ -442,6 +454,11 @@ class TestRandomPoints:
     @pytest.mark.parametrize("prime", [1, 0, -7])
     def test_refuses_a_prime_below_2(self, prime):
         with pytest.raises(ExprError, match="prime of at least 2"):
+            Assignment.random(edges(5), prime, random.Random(0))
+
+    @pytest.mark.parametrize("prime", [2.5, True, 7.0])
+    def test_refuses_a_prime_that_is_not_an_int(self, prime):
+        with pytest.raises(ExprError, match="int prime of at least 2"):
             Assignment.random(edges(5), prime, random.Random(0))
 
     @pytest.mark.parametrize("prime", [2, 3, 5, 2**31 - 1, 2**127 - 1, 2**521 - 1])
