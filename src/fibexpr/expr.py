@@ -45,6 +45,12 @@ class ParseError(ExprError):
         self.position = position
 
 
+def _check_int(value, minimum: int, what: str, error: type = ExprError) -> None:
+    """Refuse a value that is not an int (a bool is not one) or is below minimum."""
+    if type(value) is not int or value < minimum:
+        raise error(f"need an integer {what} >= {minimum}, got {value!r}")
+
+
 class _LabelFields(NamedTuple):
     kind: str
     index: int
@@ -61,8 +67,7 @@ class Label(_LabelFields):
     def __new__(cls, kind: str, index: int):
         if kind not in ("a", "b"):
             raise ExprError(f"label kind must be 'a' or 'b', got {kind!r}")
-        if index < 1:
-            raise ExprError(f"label index must be >= 1, got {index}")
+        _check_int(index, 1, "label index")
         return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
@@ -213,7 +218,7 @@ class Assignment:
         again.  That is the rejection rule of rng.randrange(1, prime), run
         over one stream of draws, so a random.Random gives the values that
         one randrange call per label would give."""
-        _check_prime(prime)  # below 2 no value to draw; getrandbits(0) would never stop
+        _check_int(prime, 2, "prime")  # below 2 no value to draw; getrandbits(0) would never stop
         rng = rng or random.Random()
         labels = [*labels]
         bits, below = (prime - 1).bit_length(), prime - 1
@@ -224,20 +229,22 @@ class Assignment:
         return cls(dict(zip(labels, values)), prime)
 
 
-def _check_prime(prime) -> None:
-    """Refuse a modulus that is not an int of at least 2 (a bool is not one)."""
-    if type(prime) is not int or prime < 2:
-        raise ExprError(f"need an int prime of at least 2, got {prime!r}")
-
-
 def _as_batch(v: Assignment | Sequence[Assignment]) -> list[Assignment]:
     """The points of a scalar or batch evaluation, checked to share a valid prime."""
     points = [v] if isinstance(v, Assignment) else list(v)
     for pt in points:
-        _check_prime(pt.prime)
+        _check_int(pt.prime, 2, "prime")
         if pt.prime != points[0].prime:
             raise ExprError("all points of one evaluation must share a prime")
     return points
+
+
+def _values(pt: Assignment, labels: Sequence[Label]) -> list[int]:
+    """pt's values of labels, in order; a label it has none for raises UnassignedLabel."""
+    try:
+        return [*map(pt.values.__getitem__, labels)]
+    except KeyError as exc:
+        raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
 
 
 def _walk(e: _Internal, hashed: bool = False) -> list:
@@ -511,16 +518,11 @@ def evaluate_mod(e: Expression, v: Assignment | Sequence[Assignment]):
     reduction reaches 32 p^32.  The root is reduced at the end.
     """
     points = _as_batch(v)
-    if not points:
-        return []
-    p = points[0].prime
     labels, steps = _plan(e)
     out = []
     for pt in points:
-        try:
-            vals = [0, 1, *map(mod, map(pt.values.__getitem__, labels), repeat(p))]
-        except KeyError as exc:
-            raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
+        p = pt.prime
+        vals = [0, 1, *map(mod, _values(pt, labels), repeat(p))]
         for op, columns, role in steps:
             if len(columns[0]) == 1:  # an itemgetter of one slot gives no tuple
                 acc = [vals[columns[0][0]]]

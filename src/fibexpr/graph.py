@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -27,9 +27,11 @@ from .expr import (
     Term,
     UnassignedLabel,
     _as_batch,
+    _check_int,
     _edge_labels,
     _hand_over,
     _make_group,
+    _values,
     evaluate_mod,
     expand,
 )
@@ -44,8 +46,7 @@ class InvalidSampling(ExprError):
 
 
 def _check_n(n: int, minimum: int = 1):
-    if not isinstance(n, int) or n < minimum:
-        raise InvalidN(f"need an integer n >= {minimum}, got {n!r}")
+    _check_int(n, minimum, "n", InvalidN)
 
 
 def edges(n: int) -> list[Label]:
@@ -137,17 +138,11 @@ def oracle_eval_mod(n: int, v: Assignment | Sequence[Assignment]):
     _check_n(n)
     points = _as_batch(v)
     labels = _edge_labels(n)
-    a_labels, b_labels = labels[:n - 1], labels[n - 1:]
     out = []
     for pt in points:
-        p, values = pt.prime, pt.values
-        try:
-            a_vals = [values[lab] for lab in a_labels]
-            b_vals = [values[lab] for lab in b_labels]
-        except KeyError as exc:
-            raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
-        prev, cur = 1, (a_vals[0] if n > 1 else 1) % p  # V(1), V(2)
-        for ak, bk in zip(a_vals[1:], b_vals):
+        p, vals = pt.prime, _values(pt, labels)  # a_1..a_{n-1}, then b_1..b_{n-2}
+        prev, cur = 1, (vals[0] if n > 1 else 1) % p  # V(1), V(2)
+        for ak, bk in zip(vals[1:n - 1], vals[n - 1:]):
             prev, cur = cur, (ak * cur + bk * prev) % p
         out.append(cur)
     return out[0] if isinstance(v, Assignment) else out
@@ -187,9 +182,8 @@ def check_sampling(n: int, trials: int, prime: int) -> float:
     difference of degree at most n-1 vanishes at one with probability at
     most (n-1)/(prime-1), which is below 1 only for a prime above n.  Returns
     log10 of the bound ((n-1)/(prime-1))^trials, -inf at n = 1."""
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidSampling(f"need at least one trial, got {trials!r}")
-    if not isinstance(prime, int) or prime <= n or not is_prime(prime):
+    _check_int(trials, 1, "trials", InvalidSampling)
+    if type(prime) is not int or prime <= n or not is_prime(prime):
         raise InvalidSampling(f"modulus must be a prime greater than n = {n}, got {prime!r}")
     return trials * math.log10((n - 1) / (prime - 1)) if n > 1 else -math.inf
 
@@ -235,8 +229,8 @@ def verify(e: Expression, n: int, mode: str = "expand", *, trials: int = 32,
     """Check e against the path polynomial f of the n-vertex graph: "expand"
     compares e's monomials with the paths (enumerated first, so too many raise
     SizeExceeded at once); "modeval" compares e with the oracle at `trials`
-    points from `seed`, the first alone (it rejects almost any wrong e), then
-    32 at a time.  Its bound ((n-1)/(prime-1))^trials (see check_sampling)
+    points from `seed`, each checked as it is drawn (the first rejects almost
+    any wrong e).  Its bound ((n-1)/(prime-1))^trials (see check_sampling)
     assumes deg(e - f) <= n-1, as in every builder root; a parsed formula can
     equal f modulo the prime without equalling it.  A monomial that arises
     twice, or a label off the graph, gives False."""
@@ -252,9 +246,8 @@ def verify(e: Expression, n: int, mode: str = "expand", *, trials: int = 32,
     rng, labs = random.Random(seed), edges(n)
     log10_bound = check_sampling(n, trials, prime)
     points = (Assignment.random(labs, prime, rng) for _ in range(trials))  # drawn lazily
-    batches = chain([[next(points)]], iter(lambda: list(islice(points, 32)), []))
     try:
-        ok = all(evaluate_mod(e, batch) == oracle_eval_mod(n, batch) for batch in batches)
+        ok = all(evaluate_mod(e, pt) == oracle_eval_mod(n, pt) for pt in points)
     except UnassignedLabel:  # e uses an edge the graph does not have
         ok = False
     return Verdict(ok, mode, trials=trials, prime=prime, log10_bound=log10_bound)

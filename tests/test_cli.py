@@ -276,12 +276,12 @@ class TestVerify:
     ("expr --n 0", "need an integer n >= 1, got 0"),
     ("verify --n 0 --mode modeval", "need an integer n >= 1, got 0"),
     ("optimize --n 2", "need an integer n >= 3, got 2"),
-    ("expr --n 9 --method gd --m 1", "need m >= 2, got 1"),
+    ("expr --n 9 --method gd --m 1", "need an integer m >= 2, got 1"),
     ("expr --n 9 --method gd", "method 'gd' needs a part count m"),
     ("expr --n 9 --method seeded", "method 'seeded' needs a seed"),
     ("expr --n 9 --method fixed", "method 'fixed' needs a first-step vertex"),
     ("verify --n 9 --method gd --mode modeval", "method 'gd' needs a part count m"),
-    ("fit --m 1 --n-list 64,128,256,512", "need m >= 2, got 1"),
+    ("fit --m 1 --n-list 64,128,256,512", "need an integer m >= 2, got 1"),
     ("fit --m 2 --n-list 1,2,3,4", "too small to fit"),
     ("expr --n 40 --method canonical", "paths exceeds bound"),
     ("verify --n 40 --mode expand", "paths exceeds bound"),

@@ -140,9 +140,9 @@ class TestBatchedEvaluation:
         bad = Assignment(dict.fromkeys(edges(6), 3), prime)
         good = Assignment(dict.fromkeys(edges(6), 3), 7)
         for v in (bad, [bad], [bad, bad], [good, bad]):
-            with pytest.raises(ExprError, match="int prime of at least 2"):
+            with pytest.raises(ExprError, match="need an integer prime >= 2"):
                 evaluate_mod(decompose(6), v)
-            with pytest.raises(ExprError, match="int prime of at least 2"):
+            with pytest.raises(ExprError, match="need an integer prime >= 2"):
                 oracle_eval_mod(6, v)
 
     def test_missing_label_raises(self):
@@ -393,26 +393,25 @@ class TestVerify:
         with pytest.raises(ExprError, match="unknown verification mode 'exact'"):
             verify(decompose(5), 5, "exact")
 
-    @pytest.mark.parametrize("trials, sizes", [
-        (1, [1]), (32, [1, 31]), (33, [1, 32]), (70, [1, 32, 32, 5])])
-    def test_points_go_one_then_32_at_a_time_in_draw_order(self, monkeypatch, trials, sizes):
-        batches, evaluate = [], fibexpr.graph.evaluate_mod
+    @pytest.mark.parametrize("trials", [1, 32, 33, 70])
+    def test_points_go_one_per_call_in_draw_order(self, monkeypatch, trials):
+        seen, evaluate = [], fibexpr.graph.evaluate_mod
 
-        def recording(e, batch):
-            batches.append(batch)
-            return evaluate(e, batch)
+        def recording(e, pt):
+            seen.append(pt)
+            return evaluate(e, pt)
 
         monkeypatch.setattr(fibexpr.graph, "evaluate_mod", recording)
         assert verify(decompose(20), 20, "modeval", trials=trials, prime=PRIME, seed=5).equivalent
-        assert [len(batch) for batch in batches] == sizes
-        assert [pt for batch in batches for pt in batch] == points(20, trials, seed=5)
+        assert all(isinstance(pt, Assignment) for pt in seen)
+        assert seen == points(20, trials, seed=5)
 
     def test_memory_stays_bounded_as_trials_grow(self, monkeypatch):
         # evaluation is stubbed to agree, so every point is drawn and the
         # peak is the points' own: about 9.4 KB each at n=64, so 18 MB when
         # all 2,000 are drawn at once
-        def agree(_, batch):
-            return [0] * len(batch)
+        def agree(_, pt):
+            return 0
 
         monkeypatch.setattr(fibexpr.graph, "evaluate_mod", agree)
         monkeypatch.setattr(fibexpr.graph, "oracle_eval_mod", agree)
@@ -453,12 +452,12 @@ class TestRandomPoints:
 
     @pytest.mark.parametrize("prime", [1, 0, -7])
     def test_refuses_a_prime_below_2(self, prime):
-        with pytest.raises(ExprError, match="prime of at least 2"):
+        with pytest.raises(ExprError, match="need an integer prime >= 2"):
             Assignment.random(edges(5), prime, random.Random(0))
 
     @pytest.mark.parametrize("prime", [2.5, True, 7.0])
     def test_refuses_a_prime_that_is_not_an_int(self, prime):
-        with pytest.raises(ExprError, match="int prime of at least 2"):
+        with pytest.raises(ExprError, match="need an integer prime >= 2"):
             Assignment.random(edges(5), prime, random.Random(0))
 
     @pytest.mark.parametrize("prime", [2, 3, 5, 2**31 - 1, 2**127 - 1, 2**521 - 1])
