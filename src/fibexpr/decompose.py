@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import add, mul, sub
+from operator import add, lt, mul, sub
 from typing import Mapping, Union
 
 from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, Term, UNIT,
-                   _check_int, _edge_labels, _hand_over, _make_group)
+                   _add_steps, _check_int, _edge_labels, _hand_over, _make_group)
 from .graph import _check_n
 
 
@@ -74,6 +74,9 @@ class FixedMap:
 
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN_P = ((1 << 32) + 1) * _GOLDEN  # p's factor in (p << 32 | p + length) * _GOLDEN
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,19 @@ class Seeded:
 
     def choose(self, p: int, q: int) -> int:
         # q < 2^32 for every n a build allows, so (p, q) packs without overlap.
-        x = (self.seed + (p << 32 | q) * 0x9E3779B97F4A7C15) & _M64
-        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
-        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+        x = (self.seed + (p << 32 | q) * _GOLDEN) & _M64
+        x = (x ^ x >> 30) * _MIX1 & _M64
+        x = (x ^ x >> 27) * _MIX2 & _M64
         return p + 1 + ((x ^ x >> 31) * (q - p - 1) >> 64)
+
+    def choose_each(self, ps: list, length: int) -> list:
+        """[self.choose(p, p + length) for p in ps], one round at a time
+        over the whole list: p << 32 | q is p (2^32 + 1) + length."""
+        start = self.seed + length * _GOLDEN
+        xs = [(start + p * _GOLDEN_P) & _M64 for p in ps]
+        xs = [(x ^ x >> 30) * _MIX1 & _M64 for x in xs]
+        xs = [(x ^ x >> 27) * _MIX2 & _M64 for x in xs]
+        return [p + 1 + ((x ^ x >> 31) * (length - 1) >> 64) for p, x in zip(ps, xs)]
 
 
 Strategy = Union[MiddleLow, MiddleHigh, Leftmost, FixedMap, Seeded]
@@ -106,9 +118,10 @@ Strategy = Union[MiddleLow, MiddleHigh, Leftmost, FixedMap, Seeded]
 def uniform_positions(p: int, q: int, m: int) -> list[int]:
     """Decomposition vertices splitting (p, q) into min(m, q-p) near-equal
     parts; ties round down so m=2 matches the MiddleLow strategy."""
+    _check_int(p, 1, "interval start", InvalidVertexChoice)
+    _check_int(q, p + 1, "interval end", InvalidVertexChoice)
+    _check_int(m, 2, "m", InvalidVertexChoice)
     span = q - p
-    if span < 1 or type(m) is not int or m < 2:
-        raise InvalidVertexChoice(f"no positions for interval ({p},{q}) with m={m}")
     parts = min(m, span)
     return [p + (2 * j * span + parts - 1) // (2 * parts) for j in range(1, parts)]
 
@@ -129,11 +142,29 @@ def _segment(x: int, r: int) -> tuple:
     return () if r == x else ((0, x + 1),) if r == x + 1 else ((r - x, x),)
 
 
-def _build(n: int, split, by_length: bool = False) -> Expression:
+def _edge_labels_to_build(n: int) -> list:
+    """The edge labels of the n-vertex graph, once n is known not to be too
+    large for any build.
+
+    Every build has at least n-1 summands, so a larger n is refused before
+    the 2n-3 labels are made.  An interval split at k vertices has at
+    least k+1 summands: the one that keeps them all, and for each vertex
+    the one that bypasses it alone.  The keep-all summands split (1, n)
+    into a tree of intervals whose leaves are the n-1 edges a_v; any two
+    of its intervals are nested or do not overlap, so all are distinct,
+    and each holds at least as many summands as it has parts.  The parts
+    of all the tree's intervals are its nodes but the root, at least its
+    n-1 leaves."""
+    if n - 1 > _BUILD_SUMMAND_BOUND:
+        raise SizeExceeded(f"a build of at least {n - 1} summands exceeds bound "
+                           f"{_BUILD_SUMMAND_BOUND}")
+    return _edge_labels(n)
+
+
+def _build(n: int, split) -> Expression:
     """E(1, n) with each interval (p, q), q-p >= 2, split at the increasing
-    vertices split(p, q) strictly inside it.  With by_length, the offsets
-    v-p of split(p, q) depend on q-p alone, so split is called once per
-    length, for the first interval found.
+    vertices split(p, q) strictly inside it, whose offsets v-p depend on
+    q-p alone: split is called once per length, for one of its intervals.
 
     Vertices are kept or bypassed in turn, last first, each partial summand
     carrying the end r of the segment open on its left; bypassing v needs
@@ -141,124 +172,189 @@ def _build(n: int, split, by_length: bool = False) -> Expression:
     before bypass, which gives the recursive GD form's order: the binary
     counter over bypass subsets, first vertex lowest.
 
-    A summand's factors depend only on q-p and the split offsets v-p, so
-    intervals go in templates, one per (length, offsets), each holding the
-    starts p of its intervals.  Discovery goes longest length first, when a
-    length's intervals are all known, and groups them by their offsets
-    (one group per length with by_length); it checks each template, counts
-    its summands and finds its child intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
+    A summand's factors depend only on q-p and the split offsets, so each
+    length is one template holding the starts p of its intervals.
+    Discovery goes longest length first, when a length's intervals are all
+    known; it checks each template, counts its summands and finds its child
+    intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
     summands, or a build of more than _BUILD_SUMMAND_BOUND over all its
     intervals, is refused there, before any summand is enumerated or
     planned.  Construction goes shortest length first and runs the
     keep/bypass pass once per template over slot references (see _segment):
-    each gives one column of slots over the template's starts.
-    Each length plans all its Products, then all its Sums, grouped by arity,
-    one node per row of columns (_make_group).  Only the slot plan is made;
-    it is handed over with the root, whose nodes are made from it when first
-    read (_hand_over).
+    each gives one column of slots over the template's starts.  Each length
+    plans its Products, grouped by arity, then its Sums, one node per row
+    of columns (_make_group).  Only the slot plan is made; it is handed
+    over with the root, whose nodes are made from it when first read
+    (_hand_over).
     """
-    # Every build has at least n-1 summands, so a larger n is refused before
-    # the 2n-3 labels are made.  An interval split at k vertices has at
-    # least k+1 summands: the one that keeps them all, and for each vertex
-    # the one that bypasses it alone.  The keep-all summands split (1, n)
-    # into a tree of intervals whose leaves are the n-1 edges a_v; any two
-    # of its intervals are nested or do not overlap, so all are distinct,
-    # and each holds at least as many summands as it has parts.  The parts
-    # of all the tree's intervals are its nodes but the root, at least its
-    # n-1 leaves.
-    if n - 1 > _BUILD_SUMMAND_BOUND:
-        raise SizeExceeded(f"a build of at least {n - 1} summands exceeds bound "
-                           f"{_BUILD_SUMMAND_BOUND}")
-    labels = _edge_labels(n)
+    labels = _edge_labels_to_build(n)
     if n < 3:
         return Term(labels[0]) if n == 2 else UNIT
     starts: list = [set() for _ in range(n)]  # starts[k]: p of each E(p, p+k) found
     starts[n - 1].add(1)
-    templates: list[list] = [[] for _ in range(n)]  # templates[k]: (offsets, starts)
+    templates: list = [None] * n  # templates[k]: (offsets, starts) of length k
     total = 0  # summands of the intervals found so far
     for length in range(n - 1, 1, -1):
-        found: dict[tuple, list] = {}  # offsets -> the starts p split at them
-        for p in starts[length]:
-            vertices = split(p, p + length)
-            try:  # a str vertex fails here, a float below
-                offsets = tuple(map(sub, vertices, repeat(p)))
-            except TypeError:
-                raise InvalidVertexChoice(f"vertices {vertices!r} invalid for interval "
-                                          f"({p},{p + length})") from None
-            if by_length:  # every interval of this length is split alike
-                found[offsets] = [*starts[length]]
-                break
-            found.setdefault(offsets, []).append(p)
+        ps = [*starts[length]]
         starts[length] = None
-        for offsets, ps in found.items():
-            p, q = ps[0], ps[0] + length
-            if not offsets:
-                raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
-            segments = set()  # (x, r) of each E(p+x, p+r) a summand can hold
-            u, kept, bypassed = 0, 1, 0  # summands so far that keep or bypass u
-            for v in offsets:
-                if type(v) is not int or not u < v < length:
-                    raise InvalidVertexChoice(
-                        f"vertices {[p + o for o in offsets]} invalid for interval ({p},{q})")
-                segments.update(((u, v), (u, v - 1)))
-                if 0 < u < v - 1:  # a segment starts at u+1 after bypassing u
-                    segments.update(((u + 1, v), (u + 1, v - 1)))
-                kept, bypassed = kept + bypassed, kept + bypassed if u + 1 < v else kept
-                u = v
-            segments.update(((u, length), (u + 1, length)))
-            if kept + bypassed > DEFAULT_EXPANSION_BOUND:
-                raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds "
-                                   f"bound {DEFAULT_EXPANSION_BOUND}")
-            total += (kept + bypassed) * len(ps)
-            if total > _BUILD_SUMMAND_BOUND:
-                raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
-                                   f"{_BUILD_SUMMAND_BOUND}")
-            for x, r in segments:
-                if r - x > 1:
-                    starts[r - x].update(map(add, ps, repeat(x)))
-            templates[length].append((offsets, ps))
+        if not ps:
+            continue
+        p, q = ps[0], ps[0] + length
+        vertices = split(p, q)
+        try:  # a str vertex fails here, a float below
+            offsets = tuple(map(sub, vertices, repeat(p)))
+        except TypeError:
+            raise InvalidVertexChoice(f"vertices {vertices!r} invalid for interval "
+                                      f"({p},{q})") from None
+        if not offsets:
+            raise InvalidVertexChoice(f"no vertices for interval ({p},{q})")
+        segments = set()  # (x, r) of each E(p+x, p+r) a summand can hold
+        u, kept, bypassed = 0, 1, 0  # summands so far that keep or bypass u
+        for v in offsets:
+            if type(v) is not int or not u < v < length:
+                raise InvalidVertexChoice(
+                    f"vertices {[p + o for o in offsets]} invalid for interval ({p},{q})")
+            segments.update(((u, v), (u, v - 1)))
+            if 0 < u < v - 1:  # a segment starts at u+1 after bypassing u
+                segments.update(((u + 1, v), (u + 1, v - 1)))
+            kept, bypassed = kept + bypassed, kept + bypassed if u + 1 < v else kept
+            u = v
+        segments.update(((u, length), (u + 1, length)))
+        if kept + bypassed > DEFAULT_EXPANSION_BOUND:
+            raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds "
+                               f"bound {DEFAULT_EXPANSION_BOUND}")
+        total += (kept + bypassed) * len(ps)
+        if total > _BUILD_SUMMAND_BOUND:
+            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
+                               f"{_BUILD_SUMMAND_BOUND}")
+        for x, r in segments:
+            if r - x > 1:
+                starts[r - x].update(map(add, ps, repeat(x)))
+        templates[length] = offsets, ps
     top = 2 + len(labels)  # the next free slot: a_x is at x+1, b_x at n+x
     steps: list = []
     slot_of: list = [None] * n  # slot_of[k]: {p: slot of E(p, p+k)}
     for length in range(2, n):
-        products: dict[int, list] = {}  # arity -> columns of each template's summand
-        sums: dict[int, list] = {}  # arity -> (summand columns, starts) of each template
-        for offsets, ps in templates[length]:
-            tails = [((), length)]  # (factors right of the open segment, its end r)
-            for v in reversed(offsets):
-                bypass = ((0, n + v - 1),)  # b_{p+v-1}
-                grown = []
-                for fs, r in tails:
-                    grown.append((_segment(v, r) + fs, v))
-                    if v < r:  # E(v+1, r) is not the zero E(v+1, v)
-                        grown.append((bypass + _segment(v + 1, r) + fs, v - 1))
-                tails = grown
-            tails = [_segment(0, r) + fs for fs, r in tails]
-            columns: dict[tuple, list] = {}  # reference -> its slots over ps
-            for k, x in set(chain.from_iterable(tails)):
-                shifted = map(add, ps, repeat(x))
-                columns[k, x] = [*map(slot_of[k].__getitem__, shifted)] if k else [*shifted]
-            summands = []  # a column of slots, or (arity, index) of a product column
-            for fs in tails:
-                if len(fs) == 1:
-                    summands.append(columns[fs[0]])
-                else:
-                    group = products.setdefault(len(fs), [])
-                    summands.append((len(fs), len(group)))
-                    group.append([*map(columns.__getitem__, fs)])
-            sums.setdefault(len(summands), []).append((summands, ps))
-        placed = {}  # arity -> the slots of each product column, in order
+        if templates[length] is None:
+            continue
+        offsets, ps = templates[length]
+        tails = [((), length)]  # (factors right of the open segment, its end r)
+        for v in reversed(offsets):
+            bypass = ((0, n + v - 1),)  # b_{p+v-1}
+            grown = []
+            for fs, r in tails:
+                grown.append((_segment(v, r) + fs, v))
+                if v < r:  # E(v+1, r) is not the zero E(v+1, v)
+                    grown.append((bypass + _segment(v + 1, r) + fs, v - 1))
+            tails = grown
+        tails = [_segment(0, r) + fs for fs, r in tails]
+        columns: dict[tuple, list] = {}  # reference -> its slots over ps
+        for k, x in set(chain.from_iterable(tails)):
+            shifted = map(add, ps, repeat(x))
+            columns[k, x] = [*map(slot_of[k].__getitem__, shifted)] if k else [*shifted]
+        products: dict[int, list] = {}  # arity -> the columns of each summand of that arity
+        summands = []  # a column of slots, or (arity, index) of a product's columns
+        for fs in tails:
+            if len(fs) == 1:
+                summands.append(columns[fs[0]])
+            else:
+                group = products.setdefault(len(fs), [])
+                summands.append((len(fs), len(group)))
+                group.append([*map(columns.__getitem__, fs)])
+        placed = {}  # arity -> the slots of each product's nodes, in order
         for arity, group in products.items():
             placed[arity] = _make_group(top, steps, mul, group)
             top = placed[arity][-1].stop
-        slot_of[length] = at = {}
-        for group in sums.values():
-            parts = [[s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
-                     for summands, ps in group]
-            slots = _make_group(top, steps, add, parts)
-            top = slots[-1].stop
-            for (summands, ps), part in zip(group, slots):
-                at.update(zip(ps, part))
+        parts = [s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
+        slots = _add_steps(steps, add, parts, top)
+        top = slots.stop
+        slot_of[length] = dict(zip(ps, slots))
+    return _hand_over(labels, steps)
+
+
+def _build_by_shape(n: int, choose_each) -> Expression:
+    """E(1, n) with each interval (p, q), q-p >= 2, split at a vertex v of
+    its own, E(p,q) = E(p,v) E(v,q) + E(p,v-1) b_{v-1} E(v+1,q), where
+    choose_each(ps, k) lists the vertex of each interval (p, p+k), p in ps.
+
+    Each pass works on a whole length at a time, in columns over its
+    intervals, never on one interval.  Discovery goes longest length first,
+    when a length's intervals are all known: it draws their vertices,
+    refuses any that is not an int strictly inside its interval, counts the
+    summands against both bounds, and files each split's p under v-p and
+    its q under q-v, from which the shorter lengths read their intervals
+    (the sets of lengths 0 and 1, units and labels, are never read).
+    Everything is checked before any planning.  A split's shape, whether
+    v-p and q-v exceed 1, decides which of E(p,v-1) and E(v+1,q) are units,
+    and so the bypass summand's arity: 1 (b_{v-1} alone, no product), 2 or
+    3; a length's intervals are sorted by shape.  Construction goes
+    shortest length first.  Segment E(x, r) is looked up by the key
+    x (n+1) + r, whose slot is a_x's for r = x+1 and its interval's Sum
+    otherwise, so each column is one lookup over the length's intervals.
+    A length plans one step of Products of two factors (every keep summand,
+    then the bypass summands of one segment), one of the Products of three
+    and one of its Sums.  Only the slot plan is made (_hand_over).
+    """
+    labels = _edge_labels_to_build(n)
+    if n < 3:
+        return Term(labels[0]) if n == 2 else UNIT
+    if 2 > DEFAULT_EXPANSION_BOUND:  # every interval has the two summands
+        raise SizeExceeded(f"2 summands in interval (1,{n}) exceeds bound "
+                           f"{DEFAULT_EXPANSION_BOUND}")
+    # A split at v adds E(p,v) and E(p,v-1), which start at p, and E(v,q)
+    # and E(v+1,q), which end at q, as two pairs.
+    lefts: list = [set() for _ in range(n + 1)]  # lefts[d]: p of each E(p,p+d), E(p,p+d-1)
+    rights: list = [set() for _ in range(n + 1)]  # rights[e]: q of each E(q-e,q), E(q-e+1,q)
+    found = []  # (length, starts, vertices, shape counts), longest length first
+    total = 0  # summands of the intervals found so far
+    for length in range(n - 1, 1, -1):
+        ps = [1] if length == n - 1 else [*(lefts[length] | lefts[length + 1]).union(
+            map(sub, rights[length] | rights[length + 1], repeat(length)))]
+        lefts[length + 1] = rights[length + 1] = None
+        if not ps:
+            continue
+        vs = choose_each(ps, length)
+        qs = [p + length for p in ps]
+        if {*map(type, vs)} != {int} or not all(map(lt, ps, vs)) or not all(map(lt, vs, qs)):
+            p, v = next((p, v) for p, v in zip(ps, vs)
+                        if type(v) is not int or not p < v < p + length)
+            raise InvalidVertexChoice(f"vertices [{v!r}] invalid for interval ({p},{p + length})")
+        total += 2 * len(ps)
+        if total > _BUILD_SUMMAND_BOUND:
+            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
+                               f"{_BUILD_SUMMAND_BOUND}")
+        ds = [*map(sub, vs, ps)]
+        es = [*map(sub, qs, vs)]
+        any(map(set.add, map(lefts.__getitem__, ds), ps))  # set.add gives None
+        any(map(set.add, map(rights.__getitem__, es), qs))
+        shapes = [2 * (d > 1) + (e > 1) for d, e in zip(ds, es)]
+        order = sorted(range(len(ps)), key=shapes.__getitem__)
+        found.append((length, [*map(ps.__getitem__, order)], [*map(vs.__getitem__, order)],
+                      [*map(shapes.count, range(4))]))
+    width = n + 1
+    at = {x * width + x + 1: x + 1 for x in range(1, n)}  # key of E(x, r) -> slot; a_x at x+1
+    get = at.__getitem__
+    top = 2 + len(labels)  # the next free slot: a_x is at x+1, b_x at n+x
+    steps: list = []
+    for length, ps, vs, (alone, right, left, both) in reversed(found):
+        # shapes 0..3: no segment, E(v+1,q) only, E(p,v-1) only, both
+        one, two = alone + right, alone + right + left  # where shapes 2 and 3 start
+        pv = [p * width + v for p, v in zip(ps, vs)]  # E(p,v); less one, E(p,v-1)
+        vq = [v * width + p + length for p, v in zip(ps, vs)]  # E(v,q); plus n+1, E(v+1,q)
+        bs = [n - 1 + v for v in vs]  # b_{v-1}
+        pairs = _add_steps(steps, mul, [
+            [*map(get, pv), *bs[alone:one], *map(get, map(sub, pv[one:two], repeat(1)))],
+            [*map(get, vq), *map(get, map(add, vq[alone:one], repeat(width))), *bs[one:two]]],
+            top)
+        triples = range(pairs.stop, pairs.stop)
+        if both:
+            triples = _add_steps(steps, mul, [[*map(get, map(sub, pv[two:], repeat(1)))], bs[two:],
+                                              [*map(get, map(add, vq[two:], repeat(width)))]],
+                                 pairs.stop)
+        sums = _add_steps(steps, add, [[*pairs[:len(ps)]], [*bs[:alone], *pairs[len(ps):],
+                                                            *triples]], triples.stop)
+        top = sums.stop
+        at.update(zip([p * (width + 1) + length for p in ps], sums))
     return _hand_over(labels, steps)
 
 
@@ -271,9 +367,11 @@ def decompose(n: int, strategy: Strategy | None = None) -> Expression:
     """
     _check_n(n)
     strategy = strategy if strategy is not None else MiddleLow()
-    # these three choose p plus an offset that depends on q-p alone
-    by_length = type(strategy) in (MiddleLow, MiddleHigh, Leftmost)
-    return _build(n, lambda p, q: (strategy.choose(p, q),), by_length)
+    if type(strategy) in (MiddleLow, MiddleHigh, Leftmost):  # an offset that depends on q-p alone
+        return _build(n, lambda p, q: (strategy.choose(p, q),))
+    if type(strategy) is Seeded:
+        return _build_by_shape(n, strategy.choose_each)
+    return _build_by_shape(n, lambda ps, k: [*map(strategy.choose, ps, map(add, ps, repeat(k)))])
 
 
 def decompose_gd(n: int, spec: GdSpec) -> Expression:
@@ -287,4 +385,4 @@ def decompose_gd(n: int, spec: GdSpec) -> Expression:
         return uniform_positions(p, q, spec.m)
 
     # uniform offsets depend on q-p alone, and (1, n) is alone at its length
-    return _build(n, split, by_length=True)
+    return _build(n, split)

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -122,21 +122,26 @@ class _Internal:
     A root that a builder or parse made holds only its slot plan (see
     _hand_over): its children and every node below them are made from the
     plan on the first read of `children`, which folds and `==` never do.
+    Each node made so records its origin (plan, slot), so that a root built
+    from such nodes is planned by slicing their plan (see _plan).
     """
 
     _hash = None
     _slot_plan = None  # the plan (labels, steps), set by _plan or a builder
+    _origin = None  # (plan, slot) of a node made from a plan's slot
 
     def __getattr__(self, name: str):
         # only reached for an attribute the instance does not hold
         if name != "children" or self._slot_plan is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "children", _spliced(self, Term, map).children)
+        object.__setattr__(self, "children", _spliced(self, Term, _nodes).children)
         return self.children
 
     def __hash__(self) -> int:
         if self._hash is None:
-            for x in chain(_walk(self, hashed=True), (self,)):
+            # a node whose hash is cached is not walked again, so hashing
+            # nodes one at a time stays linear in all of them
+            for x in chain(_walk(self, lambda x: x._hash is not None), (self,)):
                 object.__setattr__(x, "_hash", hash((type(x), x.children)))
         return self._hash
 
@@ -148,7 +153,7 @@ class _Internal:
         names: dict = {}
         fresh = count()  # a new name per key; one that is not kept is not reused
 
-        def name(kind, rows):
+        def name(kind, rows, origins):
             return map(names.setdefault, map((kind is Sum,).__add__, rows), fresh)
 
         return _spliced(self, str, name) == _spliced(other, str, name)
@@ -169,6 +174,15 @@ class Product(_Internal):
 
 
 Expression = Union[_Sentinel, Term, Sum, Product]
+
+# CPython keeps the attributes of a class's instances in one shared table of
+# names (PEP 412), which takes no new name once a few instances are made; a
+# name set after that gives each instance that sets it a dict of its own,
+# about 280 bytes more per node.  Setting every name a node can hold on one
+# instance of each kind first keeps them all in that table.
+for _kind in (Sum, Product):
+    any(map(object.__setattr__, repeat(object.__new__(_kind)),
+            ("children", "_origin", "_hash", "_slot_plan"), repeat(None)))
 
 Monomial = frozenset  # of Label
 MonomialSet = frozenset  # of Monomial
@@ -247,11 +261,10 @@ def _values(pt: Assignment, labels: Sequence[Label]) -> list[int]:
         raise UnassignedLabel(f"no value for label {exc.args[0]}") from None
 
 
-def _walk(e: _Internal, hashed: bool = False) -> list:
+def _walk(e: _Internal, stop=None) -> list:
     """The distinct Sum and Product nodes below e, each after its internal
-    children, walked with an explicit stack; e itself is left out.  With
-    hashed, a node whose hash is cached is left out with everything below
-    it, so hashing nodes one at a time stays linear in all of them."""
+    children, walked with an explicit stack; e itself is left out.  A node
+    for which stop(node) is true is left out with everything below it."""
     order, seen = [], {id(e)}
     stack = [(e, iter(e.children))]
     while stack:
@@ -259,7 +272,7 @@ def _walk(e: _Internal, hashed: bool = False) -> list:
         for c in todo:
             if isinstance(c, _Internal) and id(c) not in seen:
                 seen.add(id(c))
-                if hashed and c._hash is not None:
+                if stop is not None and stop(c):
                     continue
                 stack.append((c, iter(c.children)))
                 break
@@ -323,15 +336,16 @@ def _hand_over(labels: list, steps: list) -> _Internal:
 
 def _spliced(e: _Internal, leaf, node):
     """The last slot's value of one pass over e's slot plan (_plan): ZERO
-    and UNIT, leaf(label) for each label, then node(kind, rows) for each
-    step of Sum or Product nodes, rows holding each node's tuple of child
-    values.  A chunk partial's slot holds its tuple of child values, which
-    the step right after its run of partials splices in, in chunk order;
-    an empty node's row is ().  Node values must not be plain tuples."""
-    labels, steps = _plan(e)
-    slots = [ZERO, UNIT, *map(leaf, labels)]
+    and UNIT, leaf(label) for each label, then node(kind, rows, origins)
+    for each step of Sum or Product nodes, rows holding each node's tuple
+    of child values and origins each node's (plan, slot).  A chunk
+    partial's slot holds its tuple of child values, which the step right
+    after its run of partials splices in, in chunk order; an empty node's
+    row is ().  Node values must not be plain tuples."""
+    plan = _plan(e)
+    slots = [ZERO, UNIT, *map(leaf, plan[0])]
     splice = False  # whether the step before was one of partials
-    for op, columns, role in steps:
+    for op, columns, role in plan[1]:
         rows = zip(*[map(slots.__getitem__, column) for column in columns])
         if role == "empty":
             rows = repeat((), len(columns[0]))
@@ -339,8 +353,19 @@ def _spliced(e: _Internal, leaf, node):
             rows = (tuple(chain.from_iterable(c if type(c) is tuple else (c,) for c in row))
                     for row in rows)
         splice = role == "partial"
-        slots += rows if splice else node(Sum if op is add else Product, rows)
+        slots += rows if splice else node(Sum if op is add else Product, rows,
+                                          zip(repeat(plan), count(len(slots))))
     return slots[-1]
+
+
+def _nodes(kind: type, rows, origins) -> list:
+    """A node of kind per row of children, each recording its (plan, slot)
+    from origins as _origin: set in C, without a call of __init__."""
+    rows = [*rows]
+    made = [*map(object.__new__, repeat(kind, len(rows)))]
+    any(map(object.__setattr__, made, repeat("children"), rows))  # __setattr__ gives None
+    any(map(object.__setattr__, made, repeat("_origin"), origins))
+    return made
 
 
 def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None, factors=frozenset()) -> list:
@@ -365,17 +390,56 @@ def _steps_of_bins(bins: dict, kids, slot: dict, top: int, key=None, factors=fro
     return steps
 
 
+def _size(plan: tuple) -> int:
+    """The number of slots of plan, the root's being the last."""
+    labels, steps = plan
+    return 2 + len(labels) + sum(len(columns[0]) for _, columns, _ in steps)
+
+
+def _live(plan: tuple, wanted) -> tuple:
+    """The rows of plan that the slots in wanted read, directly or not,
+    themselves included: (a mask per step, or None where no row is live,
+    the set of live slots), in one backward pass."""
+    steps = plan[1]
+    live = set(wanted)
+    last, top = max(live), _size(plan)
+    masks = []
+    for _, columns, _ in reversed(steps):
+        top -= len(columns[0])
+        mask = None if top > last else [*map(live.__contains__, range(top, top + len(columns[0])))]
+        if mask is not None and True not in mask:
+            mask = None
+        if mask is not None:
+            for column in columns:
+                live.update(compress(column, mask))
+        masks.append(mask)
+    masks.reverse()
+    return masks, live
+
+
 def _plan(e: Expression) -> tuple:
     """e's slot plan (labels, steps), the program that every fold of e runs
     over a list of value slots.  The builders and parse hand it over with
-    their root; a hand-made, mutated or child root is compiled on first use,
-    in one pass over its distinct nodes children first, and cached.  That
-    pass gives each label a slot as it first appears, marks each product
-    that a product reads, and bins the nodes by (height, kind, arity) for
-    _steps_of_bins; the root, alone at the greatest height, is the last
-    bin.  A leaf is planned as the one-child Sum over it, which has its
-    value.  The builders' products are never read by a product, and parse
-    flattens them, so neither marks any.
+    their root.  Any other root is compiled on first use, and cached.
+
+    Compiling walks only the hand-made nodes, those that no plan made (see
+    _nodes), children first.  A child that is a slot of a plan is not
+    entered: a node made from a plan is its origin's slot, and a node that
+    holds its own plan is that plan's last slot.  Each such plan is sliced:
+    a backward pass (_live) finds the rows that the referenced slots read,
+    and those rows are copied forward, with their slots renumbered, in
+    their steps and order, so that runs of chunk partials stay whole.  Only
+    the labels of live rows are kept, merged across plans with the
+    hand-made leaves' labels, each at the slot where it first appears.  A
+    copied product step that a hand-made product reads gets role "factor".
+    The hand-made nodes are then binned by (height, kind, arity) for
+    _steps_of_bins, products that a hand-made product reads marked; the
+    root, alone at the greatest height, is the last bin.  A root that is a
+    plan's slot itself is that slice alone, the slot last, and a leaf is
+    planned as the one-child Sum over it, which has its value.  So a
+    node's plan holds its own labels and slots and no other.  The builders'
+    products are never read by a product, and parse flattens them, so
+    neither marks any.
 
     Slot 0 holds 0 (ZERO), slot 1 holds 1 (UNIT) and slots 2, 3, ... the
     values of `labels`.  Each step (op, columns, role) then appends one
@@ -383,27 +447,68 @@ def _plan(e: Expression) -> tuple:
     in column j at its position and combined with op (add for a Sum, mul
     for a Product).  Folds ignore the role, which _spliced and evaluate_mod
     read (see _add_steps).  The root is the last slot.  A plan holds labels
-    and slot numbers only, never a node, so caching it on the root makes no
-    cycle."""
+    and slot numbers only, never a node, so caching it on the root, or on
+    a node made from it, makes no cycle."""
     if not isinstance(e, _Internal):
         e = Sum((e,))
     plan = e._slot_plan
     if plan is not None:
         return plan
-    slot, labels, height, bins, factors = {id(ZERO): 0, id(UNIT): 1}, [], {}, {}, set()
-    for x in chain(_walk(e), (e,)):
+    # the hand-made nodes, children first
+    made = [] if e._origin is not None else [*_walk(e, lambda x: x._origin is not None
+                                                     or x._slot_plan is not None), e]
+    slot = {id(ZERO): 0, id(UNIT): 1}  # by id, each leaf's slot, and each sliced slot's
+    at: dict = {}  # label -> its slot
+    # id(plan) -> (plan, {id: slot} of the nodes that are its slots, the slots products read)
+    sliced: dict = {}
+    height, bins, factors = {}, {}, set()
+    if e._origin is not None:
+        sliced[id(e._origin[0])] = e._origin[0], {id(e): e._origin[1]}, set()
+    for x in made:
         h = 0
         for c in x.children:
-            if isinstance(c, _Internal):
+            if not isinstance(c, _Internal):
+                if id(c) not in slot:
+                    slot[id(c)] = at.setdefault(c.label, 2 + len(at))
+                continue
+            product_of_products = type(x) is type(c) is Product
+            if id(c) in height:  # hand-made
                 h = max(h, height[id(c)])
-                if type(x) is type(c) is Product:
+                if product_of_products:
                     factors.add(id(c))
-            elif id(c) not in slot:
-                slot[id(c)] = len(labels) + 2
-                labels.append(c.label)
+            else:
+                origin, s = c._origin or (c._slot_plan, _size(c._slot_plan) - 1)
+                _, wanted, read = sliced.setdefault(id(origin), (origin, {}, set()))
+                wanted[id(c)] = s
+                if product_of_products:
+                    read.add(s)
         height[id(x)] = h + 1
         bins.setdefault((h + 1, type(x) is Sum, len(x.children)), []).append(x)
-    plan = labels, _steps_of_bins(bins, attrgetter("children"), slot, len(labels) + 2, id, factors)
+    lives = []
+    for origin, wanted, _ in sliced.values():
+        masks, live = _live(origin, wanted.values())
+        for label in compress(origin[0], map(live.__contains__, count(2))):
+            at.setdefault(label, 2 + len(at))
+        lives.append(masks)
+    top, steps = 2 + len(at), []
+    for (origin, wanted, read), masks in zip(sliced.values(), lives):
+        labels, old = origin
+        new = [0, 1, *map(at.get, labels)]  # old slot -> new; dead slots are never read
+        for (op, columns, role), mask in zip(old, masks):
+            if mask is None:
+                new += repeat(None, len(columns[0]))
+                continue
+            if op is mul and role == "node" and any(len(new) <= s < len(new) + len(mask)
+                                                    for s in read):
+                role = "factor"
+            placed = [*accumulate(mask, initial=top)]
+            new += placed[:-1]
+            steps.append((op, [[*map(new.__getitem__, compress(column, mask))]
+                               for column in columns], role))
+            top = placed[-1]
+        slot.update(zip(wanted, map(new.__getitem__, wanted.values())))
+    steps += _steps_of_bins(bins, attrgetter("children"), slot, top, id, factors)
+    plan = [*at], steps
     object.__setattr__(e, "_slot_plan", plan)
     return plan
 
@@ -542,7 +647,7 @@ def labels_of(e: Expression) -> Counter:
     over its slot plan's steps in reverse, parents first: each slot's print
     count is complete before it adds that count to each of its child slots."""
     labels, steps = _plan(e)
-    top = 2 + len(labels) + sum(len(columns[0]) for _, columns, _ in steps)
+    top = _size((labels, steps))
     printed = [0] * (top - 1) + [1]  # the root, printed once
     for _, columns, _ in reversed(steps):
         top -= len(columns[0])

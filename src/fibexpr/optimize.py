@@ -23,8 +23,8 @@ from operator import add
 from . import graph
 from .decompose import (FixedMap, GdSpec, Leftmost, MiddleHigh, MiddleLow, Seeded, decompose,
                         decompose_gd)
-from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, metric_plus,
-                   metric_terms)
+from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, _check_int,
+                   metric_plus, metric_terms)
 from .graph import _check_n, verify
 
 
@@ -126,13 +126,18 @@ class IntervalTable:
         self._best = best
         self._arg_offsets = arg_offsets
 
-    def min_value(self, p: int = 1, q: int | None = None) -> int:
+    def _vertices(self, p: int, q: int | None) -> int:
+        """The vertex count of the interval (p, q), q defaulting to n."""
         q = self.n if q is None else q
-        return self._best[q - p + 1]
+        _check_int(p, 1, "interval start")
+        _check_int(q, p, "interval end")
+        return q - p + 1
+
+    def min_value(self, p: int = 1, q: int | None = None) -> int:
+        return self._best[self._vertices(p, q)]
 
     def argmin_vertices(self, p: int = 1, q: int | None = None) -> set:
-        q = self.n if q is None else q
-        return {p + d for d in self._arg_offsets[q - p + 1]}
+        return {p + d for d in self._arg_offsets[self._vertices(p, q)]}
 
 
 def min_metric(n: int, metric: str) -> IntervalTable:

@@ -17,7 +17,6 @@ from fibexpr.decompose import (
     MiddleHigh,
     MiddleLow,
     Seeded,
-    _build,
     decompose,
     decompose_gd,
     uniform_positions,
@@ -424,24 +423,58 @@ def test_deep_builds_evaluate_like_the_oracle(n, strategy):
 
 
 @pytest.mark.parametrize("strategy", [MiddleLow(), MiddleHigh(), Leftmost()])
-def test_one_split_per_length_gives_the_per_interval_plan(strategy):
-    # FixedMap({}, s) chooses like s but is split once per interval
+def test_one_split_per_length_gives_the_per_interval_tree(strategy):
+    # FixedMap({}, s) chooses like s but is built by split shape, interval by
+    # interval, whose plan orders its slots otherwise
     for n in range(1, 301):
-        assert _plan(decompose(n, strategy)) == _plan(decompose(n, FixedMap({}, strategy))), n
+        by_length, by_shape = decompose(n, strategy), decompose(n, FixedMap({}, strategy))
+        assert by_length == by_shape, n
+        assert metric_terms(by_length) == metric_terms(by_shape), n
+        assert metric_plus(by_length) == metric_plus(by_shape), n
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_uniform_gd_split_per_length_gives_the_per_interval_plan(m):
-    for n in range(2, 261):
+def test_uniform_gd_split_per_length_matches_recursive_reference(m):
+    for n in range(2, 121):
         for first in [None] + ([(n // 3 + 1, n - 2)] if n >= 6 else []):
-            def split(p, q):
-                if (p, q) == (1, n) and first is not None:
-                    return first
-                return uniform_positions(p, q, m)
+            spec = GdSpec(m, first)
+            assert decompose_gd(n, spec) == reference_decompose_gd(n, spec), (n, m, first)
 
-            # _build without by_length calls split once per interval
-            assert _plan(decompose_gd(n, GdSpec(m, first))) == _plan(_build(n, split)), \
-                (n, m, first)
+
+def shared_reference(strategy):
+    """reference_decompose's E(1, n) for every n from one memo: the vertex
+    of (p, q) does not depend on n, so neither does E(p, q)."""
+    memo = {}
+
+    def e(p, q):
+        if q == p:
+            return UNIT
+        if q == p + 1:
+            return Term(a(p))
+        if (p, q) not in memo:
+            i = strategy.choose(p, q)
+            memo[p, q] = sumof([product([e(p, i), e(i, q)]),
+                                product([e(p, i - 1), Term(b(i - 1)), e(i + 1, q)])])
+        return memo[p, q]
+
+    return e
+
+
+# the valid FixedMaps of STRATEGIES; the third refuses (1, 12)
+@pytest.mark.parametrize("strategy", [*map(Seeded, range(10)), *STRATEGIES[5:7]],
+                         ids=[*(f"seeded-{s}" for s in range(10)), "fixed-1", "fixed-2"])
+def test_shape_builds_match_recursive_reference_up_to_300(strategy):
+    e = shared_reference(strategy)
+    for n in [*range(1, 41), *range(41, 301, 23), 300]:
+        assert decompose(n, strategy) == e(1, n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**64, 2**64), st.lists(st.integers(1, 2**31), min_size=1, max_size=20),
+       st.integers(2, 2**31))
+def test_seeded_column_draw_matches_choose(seed, ps, length):
+    s = Seeded(seed)
+    assert s.choose_each(ps, length) == [s.choose(p, p + length) for p in ps]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -452,6 +485,10 @@ def test_uniform_gd_split_per_length_gives_the_per_interval_plan(m):
     (lambda: decompose(10, FixedMap({(1, 10): 1})), r"vertices \[1\] invalid for interval \(1,10\)"),
     (lambda: decompose(10, FixedMap({(1, 10): 5, (1, 5): 5})),
      r"vertices \[5\] invalid for interval \(1,5\)"),
+    # a float vertex is refused whether or not an int one shares its length
+    (lambda: decompose(10, FixedMap({(6, 10): 8.0})),
+     r"vertices \[8\.0\] invalid for interval \(6,10\)"),
+    (lambda: decompose(9, FixedMap({(1, 9): 4.0})), r"vertices \[4\.0\] invalid for interval \(1,9\)"),
 ])
 def test_invalid_vertex_messages(build, message):
     with pytest.raises(InvalidVertexChoice, match=f"^{message}$"):

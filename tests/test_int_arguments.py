@@ -35,6 +35,14 @@ TAKERS = {
     "Seeded seed": (Seeded, ExprError, None),
     "Assignment.random prime": (lambda x: Assignment.random(edges(5), x), ExprError, 1),
     "uniform_positions m": (lambda x: uniform_positions(1, 9, x), InvalidVertexChoice, 1),
+    "uniform_positions p": (lambda x: uniform_positions(x, 9, 2), InvalidVertexChoice, 0),
+    "uniform_positions q": (lambda x: uniform_positions(1, x, 2), InvalidVertexChoice, 1),
+    "IntervalTable.min_value p": (lambda x: IntervalTable(9, "T").min_value(x, 9), ExprError, 0),
+    "IntervalTable.min_value q": (lambda x: IntervalTable(9, "T").min_value(2, x), ExprError, 1),
+    "IntervalTable.argmin_vertices p": (lambda x: IntervalTable(9, "P").argmin_vertices(x, 9),
+                                        ExprError, 0),
+    "IntervalTable.argmin_vertices q": (lambda x: IntervalTable(9, "P").argmin_vertices(2, x),
+                                        ExprError, 1),
 }
 CASES = [(name, value) for name, (_, _, below) in TAKERS.items()
          for value in (True, 2.5, "3", below) if value is not None]

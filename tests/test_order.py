@@ -39,12 +39,14 @@ from fibexpr.expr import (
     expand,
     format_expression,
     formula_length,
+    is_read_once,
     labels_of,
     metric_plus,
     metric_terms,
     parse,
     product,
     simplify,
+    sp_series,
     sumof,
 )
 from fibexpr.graph import canonical_expression, edges, verify
@@ -733,3 +735,98 @@ class TestReductions:
         assert evaluate_mod(e, pt) == local_fold(e, pt.values, prime)[0]
         stored, combined = largest_values(e, pt)
         assert stored < prime**32 and combined < 32 * prime**32
+
+
+def mutations(e):
+    """The benchmark's two negative controls of e: one top-level summand
+    dropped, and one multiplied by an extra label."""
+    parts = [*e.children]
+    k = len(parts) // 2
+    yield "drop-summand", sumof(parts[:k] + parts[k + 1:])
+    yield "extra-label", sumof(parts[:k] + [product([parts[k], Term(a(1))])] + parts[k + 1:])
+
+
+def own_labels(e):
+    """The labels below e, found by a walk of its nodes, not by its plan."""
+    seen, stack, out = {id(e)}, [e], set()
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Term):
+            out.add(x.label)
+        elif internal(x):
+            for c in x.children:
+                if id(c) not in seen:
+                    seen.add(id(c))
+                    stack.append(c)
+    return out
+
+
+def check_against_a_walk(name, e, seed=0):
+    """e's plan folds like local_fold's node walk, and holds e's own labels
+    and no other."""
+    labels, _ = fibexpr.expr._plan(e)
+    assert len(set(labels)) == len(labels) and set(labels) == own_labels(e), name
+    pt = Assignment.random(sorted(own_labels(e)) or [a(1)], PRIME, random.Random(seed))
+    value, terms, plus = local_fold(e, pt.values)
+    assert (evaluate_mod(e, pt), metric_terms(e), metric_plus(e)) == (value, terms, plus), name
+
+
+class TestSlicedPlans:
+    """A root made of nodes that a plan made is planned by slicing that plan:
+    only the rows its nodes read, only their labels."""
+
+    def test_mutations_of_built_and_parsed_roots(self):
+        roots = [*built_roots(), *((name, parse(text)) for name, text in parsed_texts())]
+        checked = 0
+        for name, e in roots:
+            if not isinstance(e, Sum):
+                continue
+            for kind, mutated in mutations(e):
+                check_against_a_walk(f"{kind} of {name}", mutated, checked)
+                checked += 1
+        assert checked > 600
+
+    def test_a_node_of_a_plan_is_its_slice(self):
+        e = decompose(30)
+        for k, child in enumerate(e.children):
+            check_against_a_walk(f"child {k}", child, k)
+            for grandchild in child.children:
+                if internal(grandchild):
+                    check_against_a_walk(f"grandchild of {k}", grandchild, k)
+
+    def test_a_plan_product_read_by_a_hand_made_product_is_a_factor(self):
+        inner = decompose(20).children[0]  # E(1,10) E(10,20), made from the plan
+        assert type(inner) is Product
+        e = Product((inner, Term(b(1))))  # not flattened, as product() would
+        labels, steps = fibexpr.expr._plan(e)
+        slot, top = steps[-1][1][0][0], 2 + len(labels)
+        for op, columns, role in steps:
+            if top <= slot < top + len(columns[0]):
+                assert (op, role) == (mul, "factor")
+            top += len(columns[0])
+        for prime in (10007, 2**61 - 1):
+            pt = Assignment.random(labels, prime, random.Random(prime))
+            assert evaluate_mod(e, pt) == local_fold(e, pt.values, prime)[0]
+            stored, combined = largest_values(e, pt)
+            assert stored < prime**32 and combined < 32 * prime**32
+
+    def test_series_over_two_plans(self):
+        left = decompose(12).children[1]
+        right = decompose_gd(16, GdSpec(3)).children[2]
+        e = sp_series(left, right)
+        check_against_a_walk("series", e)
+        both = fibexpr.expr._plan(e)[0]
+        assert set(both) == own_labels(left) | own_labels(right)
+
+    def test_a_child_does_not_see_its_bad_sibling(self):
+        e = parse("a1a2 + a3a3 + b7")
+        good, bad, _ = e.children
+        evaluate_mod(e, Assignment.random([a(1), a(2), a(3), b(7)], PRIME))
+        assert labels_of(good) == {a(1): 1, a(2): 1} and is_read_once(good)
+        assert expand(good) == {frozenset([a(1), a(2)])}
+        assert evaluate_mod(good, Assignment({a(1): 2, a(2): 3}, PRIME)) == 6
+        assert not is_read_once(bad)
+        with pytest.raises(DuplicateMonomial):
+            expand(bad)
+        with pytest.raises(UnassignedLabel):
+            evaluate_mod(bad, Assignment({a(1): 2, a(2): 3}, PRIME))
