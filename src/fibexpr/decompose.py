@@ -96,15 +96,12 @@ class Seeded:
             raise ExprError(f"need an integer seed, got {self.seed!r}")
 
     def choose(self, p: int, q: int) -> int:
-        # q < 2^32 for every n a build allows, so (p, q) packs without overlap.
-        x = (self.seed + (p << 32 | q) * _GOLDEN) & _M64
-        x = (x ^ x >> 30) * _MIX1 & _M64
-        x = (x ^ x >> 27) * _MIX2 & _M64
-        return p + 1 + ((x ^ x >> 31) * (q - p - 1) >> 64)
+        return self.choose_each([p], q - p)[0]
 
     def choose_each(self, ps: list, length: int) -> list:
-        """[self.choose(p, p + length) for p in ps], one round at a time
-        over the whole list: p << 32 | q is p (2^32 + 1) + length."""
+        """The vertex of each interval (p, p + length), p in ps, one round
+        at a time over the whole list.  q < 2^32 for every n a build
+        allows, so p << 32 | q packs without overlap: p (2^32 + 1) + length."""
         start = self.seed + length * _GOLDEN
         xs = [(start + p * _GOLDEN_P) & _M64 for p in ps]
         xs = [(x ^ x >> 30) * _MIX1 & _M64 for x in xs]
@@ -281,7 +278,7 @@ def _build_by_shape(n: int, choose_each) -> Expression:
     intervals, never on one interval.  Discovery goes longest length first,
     when a length's intervals are all known: it draws their vertices,
     refuses any that is not an int strictly inside its interval, counts the
-    summands against both bounds, and files each split's p under v-p and
+    summands, two per interval, against _BUILD_SUMMAND_BOUND, and files each split's p under v-p and
     its q under q-v, from which the shorter lengths read their intervals
     (the sets of lengths 0 and 1, units and labels, are never read).
     Everything is checked before any planning.  A split's shape, whether
@@ -298,9 +295,6 @@ def _build_by_shape(n: int, choose_each) -> Expression:
     labels = _edge_labels_to_build(n)
     if n < 3:
         return Term(labels[0]) if n == 2 else UNIT
-    if 2 > DEFAULT_EXPANSION_BOUND:  # every interval has the two summands
-        raise SizeExceeded(f"2 summands in interval (1,{n}) exceeds bound "
-                           f"{DEFAULT_EXPANSION_BOUND}")
     # A split at v adds E(p,v) and E(p,v-1), which start at p, and E(v,q)
     # and E(v+1,q), which end at q, as two pairs.
     lefts: list = [set() for _ in range(n + 1)]  # lefts[d]: p of each E(p,p+d), E(p,p+d-1)

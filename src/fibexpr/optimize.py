@@ -131,6 +131,8 @@ class IntervalTable:
         q = self.n if q is None else q
         _check_int(p, 1, "interval start")
         _check_int(q, p, "interval end")
+        if q > self.n:
+            raise ExprError(f"need an interval end <= {self.n}, got {q!r}")
         return q - p + 1
 
     def min_value(self, p: int = 1, q: int | None = None) -> int:

@@ -281,9 +281,10 @@ class TestDecomposeGd:
 
 # -- the one builder, against the two recursive builders it replaced ----------
 
-def reference_decompose(n, strategy):
-    """The recursive binary builder: E(p,i) E(i,q) + E(p,i-1) b_{i-1} E(i+1,q)."""
-    memo = {}
+def reference_decompose(n, strategy, memo=None):
+    """The recursive binary builder: E(p,i) E(i,q) + E(p,i-1) b_{i-1} E(i+1,q).
+    E(p, q) does not depend on n, so builds for several n can share a memo."""
+    memo = {} if memo is None else memo
 
     def e(p, q):
         if q == p:
@@ -311,10 +312,13 @@ def reference_uniform_positions(p, q, m):
     return pos
 
 
-def reference_decompose_gd(n, spec):
+def reference_decompose_gd(n, spec, memo=None):
     """The recursive GD builder: every bypass subset in binary-counter order,
-    an inverted segment is ZERO and product/sumof drop it."""
-    memo = {}
+    an inverted segment is ZERO and product/sumof drop it.  Builds for
+    several n with one m can share a memo: only E(1, n) depends on n, by
+    the first positions, and that is never kept in it."""
+    memo = {} if memo is None else memo
+    first = (1, n) if spec.first_positions is not None else None
 
     def e(p, q):
         if q < p:
@@ -323,9 +327,9 @@ def reference_decompose_gd(n, spec):
             return UNIT
         if q == p + 1:
             return Term(a(p))
-        if (p, q) in memo:
+        if (p, q) in memo and (p, q) != first:
             return memo[p, q]
-        if (p, q) == (1, n) and spec.first_positions is not None:
+        if (p, q) == first:
             vs = list(spec.first_positions)
             if not all(p < i < q for i in vs) or sorted(set(vs)) != vs:
                 raise InvalidVertexChoice(f"first-step vertices {vs} invalid")
@@ -343,6 +347,8 @@ def reference_decompose_gd(n, spec):
                 if j < k and bypassed[j]:
                     factors.append(Term(b(vs[j] - 1)))
             summands.append(product(factors))
+        if (p, q) == first:
+            return sumof(summands)
         memo[p, q] = sumof(summands)
         return memo[p, q]
 
@@ -435,46 +441,36 @@ def test_one_split_per_length_gives_the_per_interval_tree(strategy):
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_uniform_gd_split_per_length_matches_recursive_reference(m):
-    for n in range(2, 121):
+    memo = {}
+    for n in range(2, 261):
         for first in [None] + ([(n // 3 + 1, n - 2)] if n >= 6 else []):
             spec = GdSpec(m, first)
-            assert decompose_gd(n, spec) == reference_decompose_gd(n, spec), (n, m, first)
-
-
-def shared_reference(strategy):
-    """reference_decompose's E(1, n) for every n from one memo: the vertex
-    of (p, q) does not depend on n, so neither does E(p, q)."""
-    memo = {}
-
-    def e(p, q):
-        if q == p:
-            return UNIT
-        if q == p + 1:
-            return Term(a(p))
-        if (p, q) not in memo:
-            i = strategy.choose(p, q)
-            memo[p, q] = sumof([product([e(p, i), e(i, q)]),
-                                product([e(p, i - 1), Term(b(i - 1)), e(i + 1, q)])])
-        return memo[p, q]
-
-    return e
+            assert decompose_gd(n, spec) == reference_decompose_gd(n, spec, memo), (n, m, first)
 
 
 # the valid FixedMaps of STRATEGIES; the third refuses (1, 12)
 @pytest.mark.parametrize("strategy", [*map(Seeded, range(10)), *STRATEGIES[5:7]],
                          ids=[*(f"seeded-{s}" for s in range(10)), "fixed-1", "fixed-2"])
 def test_shape_builds_match_recursive_reference_up_to_300(strategy):
-    e = shared_reference(strategy)
+    memo = {}
     for n in [*range(1, 41), *range(41, 301, 23), 300]:
-        assert decompose(n, strategy) == e(1, n), n
+        assert decompose(n, strategy) == reference_decompose(n, strategy, memo), n
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-2**64, 2**64), st.lists(st.integers(1, 2**31), min_size=1, max_size=20),
        st.integers(2, 2**31))
-def test_seeded_column_draw_matches_choose(seed, ps, length):
+def test_seeded_column_draw_is_one_splitmix_round(seed, ps, length):
+    def draw(p, q):  # Seeded's docstring, one interval at a time
+        m64 = 2**64 - 1
+        x = (seed + (p << 32 | q) * 0x9E3779B97F4A7C15) & m64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & m64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & m64
+        return p + 1 + ((x ^ x >> 31) * (q - p - 1) >> 64)
+
     s = Seeded(seed)
-    assert s.choose_each(ps, length) == [s.choose(p, p + length) for p in ps]
+    assert s.choose_each(ps, length) == [draw(p, p + length) for p in ps]
+    assert s.choose(ps[0], ps[0] + length) == draw(ps[0], ps[0] + length)
 
 
 @pytest.mark.parametrize("build, message", [

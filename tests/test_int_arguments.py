@@ -56,6 +56,16 @@ def test_a_non_int_or_an_int_below_the_minimum_raises_the_argument_error(name, v
     assert info.type is error
 
 
+@pytest.mark.parametrize("call", [lambda t: t.min_value(5, 12), lambda t: t.min_value(1, 100),
+                                  lambda t: t.min_value(9, 10), lambda t: t.argmin_vertices(1, 10)])
+def test_an_interval_end_past_n_raises_the_argument_error(call):
+    table = IntervalTable(9, "T")
+    with pytest.raises(ExprError, match=r"^need an interval end <= 9, got \d+$") as info:
+        call(table)
+    assert info.type is ExprError
+    assert table.min_value(1, 9) == table.min_value() and table.min_value(9, 9) == 0
+
+
 def int_isinstance_lines(source: str) -> list[int]:
     """The lines of calls isinstance(x, int) or isinstance(x, (..., int, ...))."""
     def names_int(node):

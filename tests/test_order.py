@@ -130,6 +130,15 @@ def folds(e):
             metric_plus(e), labels_of(e), simplify(e))
 
 
+def forget_plans(e):
+    """Make e's nodes from its handed plan, then drop every plan and origin
+    that e and its nodes hold, so that the next _plan compiles e from its
+    nodes alone instead of slicing the handed plan."""
+    for x in [*_walk(e), e]:
+        object.__setattr__(x, "_origin", None)
+        object.__setattr__(x, "_slot_plan", None)
+
+
 class TestHandedOverOrder:
     """The builders' handed-over plan, whose steps list the node groups
     children first."""
@@ -144,8 +153,7 @@ class TestHandedOverOrder:
             assert handed is not None, f"{name} arrived without its plan"
             assert vars(e).keys() == {"_slot_plan"}, f"{name}: more than the plan"
             with_handed = folds(e)
-            e.children  # made from the handed plan, which the compiled one is not
-            object.__setattr__(e, "_slot_plan", None)
+            forget_plans(e)
             assert folds(e) == with_handed, name
             assert e._slot_plan is not handed
             checked += 1
@@ -168,8 +176,7 @@ class TestHandedOverOrder:
                 assert all(0 <= s < filled for column in columns for s in column), \
                     f"{name}: a step reads a slot before it is filled"
                 filled += rows.pop()
-            e.children  # made from the plan before it is dropped
-            object.__setattr__(e, "_slot_plan", None)
+            forget_plans(e)
             labels, steps = fibexpr.expr._plan(e)  # compiled, not handed over
             compiled = 2 + len(labels) + sum(len(columns[0]) for _, columns, _ in steps)
             assert filled == compiled, f"{name}: {filled} slots, its compiled plan {compiled}"
@@ -311,8 +318,7 @@ class TestParsedRoots:
                     format_expression(e))
 
         with_handed = plan_folds()
-        e.children  # made from the handed plan, which the compiled one is not
-        object.__setattr__(e, "_slot_plan", None)
+        forget_plans(e)
         assert plan_folds() == with_handed, name
         assert e._slot_plan is not handed
         assert format_expression(e) == format_expression(parse(format_expression(e)))
