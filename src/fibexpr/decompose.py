@@ -18,8 +18,8 @@ from itertools import chain, repeat
 from operator import add, lt, mul, sub
 from typing import Mapping, Union
 
-from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, Term, UNIT,
-                   _add_steps, _check_int, _edge_labels, _hand_over, _make_group)
+from .expr import (DEFAULT_EXPANSION_BOUND, ExprError, Expression, SizeExceeded, _add_steps,
+                   _check_int, _edge_labels, _hand_over)
 from .graph import _check_n
 
 
@@ -139,23 +139,22 @@ def _segment(x: int, r: int) -> tuple:
     return () if r == x else ((0, x + 1),) if r == x + 1 else ((r - x, x),)
 
 
-def _edge_labels_to_build(n: int) -> list:
-    """The edge labels of the n-vertex graph, once n is known not to be too
-    large for any build.
+def _check_build(total: int) -> int:
+    """total, a count of summands that a build has at least, refused past
+    _BUILD_SUMMAND_BOUND.  Each builder checks n-1 before it makes the 2n-3
+    edge labels, then its running total after each length.
 
-    Every build has at least n-1 summands, so a larger n is refused before
-    the 2n-3 labels are made.  An interval split at k vertices has at
-    least k+1 summands: the one that keeps them all, and for each vertex
-    the one that bypasses it alone.  The keep-all summands split (1, n)
-    into a tree of intervals whose leaves are the n-1 edges a_v; any two
-    of its intervals are nested or do not overlap, so all are distinct,
-    and each holds at least as many summands as it has parts.  The parts
-    of all the tree's intervals are its nodes but the root, at least its
-    n-1 leaves."""
-    if n - 1 > _BUILD_SUMMAND_BOUND:
-        raise SizeExceeded(f"a build of at least {n - 1} summands exceeds bound "
+    Every build has at least n-1 summands.  An interval split at k vertices
+    has at least k+1: the one that keeps them all, and for each vertex the
+    one that bypasses it alone.  The keep-all summands split (1, n) into a
+    tree of intervals whose leaves are the n-1 edges a_v; any two of its
+    intervals are nested or do not overlap, so all are distinct, and each
+    holds at least as many summands as it has parts.  The parts of all the
+    tree's intervals are its nodes but the root, at least its n-1 leaves."""
+    if total > _BUILD_SUMMAND_BOUND:
+        raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
                            f"{_BUILD_SUMMAND_BOUND}")
-    return _edge_labels(n)
+    return total
 
 
 def _build(n: int, split) -> Expression:
@@ -175,21 +174,20 @@ def _build(n: int, split) -> Expression:
     known; it checks each template, counts its summands and finds its child
     intervals once.  An interval of more than DEFAULT_EXPANSION_BOUND
     summands, or a build of more than _BUILD_SUMMAND_BOUND over all its
-    intervals, is refused there, before any summand is enumerated or
-    planned.  Construction goes shortest length first and runs the
-    keep/bypass pass once per template over slot references (see _segment):
-    each gives one column of slots over the template's starts.  Each length
-    plans its Products, grouped by arity, then its Sums, one node per row
-    of columns (_make_group).  Only the slot plan is made; it is handed
-    over with the root, whose nodes are made from it when first read
-    (_hand_over).
+    intervals (_check_build), is refused there, before any summand is
+    enumerated or planned.  Construction goes shortest length first and
+    runs the keep/bypass pass once per template over slot references (see
+    _segment): each gives one column of slots over the template's starts.
+    Each length plans its Products, one step per arity over the factor
+    columns of all its summands of that arity, then its Sums (_add_steps).
+    Only the slot plan is made; it is handed over with the root, whose
+    nodes are made from it when first read (_hand_over).
     """
-    labels = _edge_labels_to_build(n)
-    if n < 3:
-        return Term(labels[0]) if n == 2 else UNIT
+    _check_build(n - 1)
+    labels = _edge_labels(n)
     starts: list = [set() for _ in range(n)]  # starts[k]: p of each E(p, p+k) found
     starts[n - 1].add(1)
-    templates: list = [None] * n  # templates[k]: (offsets, starts) of length k
+    found = []  # (length, offsets, starts), longest length first
     total = 0  # summands of the intervals found so far
     for length in range(n - 1, 1, -1):
         ps = [*starts[length]]
@@ -220,21 +218,15 @@ def _build(n: int, split) -> Expression:
         if kept + bypassed > DEFAULT_EXPANSION_BOUND:
             raise SizeExceeded(f"{kept + bypassed} summands in interval ({p},{q}) exceeds "
                                f"bound {DEFAULT_EXPANSION_BOUND}")
-        total += (kept + bypassed) * len(ps)
-        if total > _BUILD_SUMMAND_BOUND:
-            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
-                               f"{_BUILD_SUMMAND_BOUND}")
+        total = _check_build(total + (kept + bypassed) * len(ps))
         for x, r in segments:
             if r - x > 1:
                 starts[r - x].update(map(add, ps, repeat(x)))
-        templates[length] = offsets, ps
+        found.append((length, offsets, ps))
     top = 2 + len(labels)  # the next free slot: a_x is at x+1, b_x at n+x
     steps: list = []
     slot_of: list = [None] * n  # slot_of[k]: {p: slot of E(p, p+k)}
-    for length in range(2, n):
-        if templates[length] is None:
-            continue
-        offsets, ps = templates[length]
+    for length, offsets, ps in reversed(found):
         tails = [((), length)]  # (factors right of the open segment, its end r)
         for v in reversed(offsets):
             bypass = ((0, n + v - 1),)  # b_{p+v-1}
@@ -249,20 +241,22 @@ def _build(n: int, split) -> Expression:
         for k, x in set(chain.from_iterable(tails)):
             shifted = map(add, ps, repeat(x))
             columns[k, x] = [*map(slot_of[k].__getitem__, shifted)] if k else [*shifted]
-        products: dict[int, list] = {}  # arity -> the columns of each summand of that arity
-        summands = []  # a column of slots, or (arity, index) of a product's columns
+        products: dict[int, list] = {}  # arity -> its columns, one summand's rows after another
+        summands = []  # a column of slots, or (arity, first row) of a product
         for fs in tails:
             if len(fs) == 1:
                 summands.append(columns[fs[0]])
             else:
-                group = products.setdefault(len(fs), [])
-                summands.append((len(fs), len(group)))
-                group.append([*map(columns.__getitem__, fs)])
-        placed = {}  # arity -> the slots of each product's nodes, in order
+                group = products.setdefault(len(fs), [[] for _ in fs])
+                summands.append((len(fs), len(group[0])))
+                for column, f in zip(group, fs):
+                    column += columns[f]
+        placed = {}  # arity -> the slots of its products, one summand's rows after another
         for arity, group in products.items():
-            placed[arity] = _make_group(top, steps, mul, group)
-            top = placed[arity][-1].stop
-        parts = [s if isinstance(s, list) else placed[s[0]][s[1]] for s in summands]
+            placed[arity] = _add_steps(steps, mul, group, top)
+            top = placed[arity].stop
+        parts = [s if isinstance(s, list) else placed[s[0]][s[1]:s[1] + len(ps)]
+                 for s in summands]
         slots = _add_steps(steps, add, parts, top)
         top = slots.stop
         slot_of[length] = dict(zip(ps, slots))
@@ -278,9 +272,10 @@ def _build_by_shape(n: int, choose_each) -> Expression:
     intervals, never on one interval.  Discovery goes longest length first,
     when a length's intervals are all known: it draws their vertices,
     refuses any that is not an int strictly inside its interval, counts the
-    summands, two per interval, against _BUILD_SUMMAND_BOUND, and files each split's p under v-p and
-    its q under q-v, from which the shorter lengths read their intervals
-    (the sets of lengths 0 and 1, units and labels, are never read).
+    summands, two per interval, against _BUILD_SUMMAND_BOUND (_check_build),
+    and files each split's p under v-p and its q under q-v, from which the
+    shorter lengths read their intervals (the sets of lengths 0 and 1,
+    units and labels, are never read).
     Everything is checked before any planning.  A split's shape, whether
     v-p and q-v exceed 1, decides which of E(p,v-1) and E(v+1,q) are units,
     and so the bypass summand's arity: 1 (b_{v-1} alone, no product), 2 or
@@ -290,11 +285,10 @@ def _build_by_shape(n: int, choose_each) -> Expression:
     otherwise, so each column is one lookup over the length's intervals.
     A length plans one step of Products of two factors (every keep summand,
     then the bypass summands of one segment), one of the Products of three
-    and one of its Sums.  Only the slot plan is made (_hand_over).
+    and one of its Sums (_add_steps).  Only the slot plan is made (_hand_over).
     """
-    labels = _edge_labels_to_build(n)
-    if n < 3:
-        return Term(labels[0]) if n == 2 else UNIT
+    _check_build(n - 1)
+    labels = _edge_labels(n)
     # A split at v adds E(p,v) and E(p,v-1), which start at p, and E(v,q)
     # and E(v+1,q), which end at q, as two pairs.
     lefts: list = [set() for _ in range(n + 1)]  # lefts[d]: p of each E(p,p+d), E(p,p+d-1)
@@ -313,10 +307,7 @@ def _build_by_shape(n: int, choose_each) -> Expression:
             p, v = next((p, v) for p, v in zip(ps, vs)
                         if type(v) is not int or not p < v < p + length)
             raise InvalidVertexChoice(f"vertices [{v!r}] invalid for interval ({p},{p + length})")
-        total += 2 * len(ps)
-        if total > _BUILD_SUMMAND_BOUND:
-            raise SizeExceeded(f"a build of at least {total} summands exceeds bound "
-                               f"{_BUILD_SUMMAND_BOUND}")
+        total = _check_build(total + 2 * len(ps))
         ds = [*map(sub, vs, ps)]
         es = [*map(sub, qs, vs)]
         any(map(set.add, map(lefts.__getitem__, ds), ps))  # set.add gives None

@@ -312,23 +312,15 @@ def _add_steps(steps: list, op, columns: list, top: int, role: str = "node") -> 
     return range(top, top + rows)
 
 
-def _make_group(top: int, steps: list, op, parts: list) -> list:
-    """A builder's group of nodes of one kind and arity: one Sum (op add) or
-    Product (op mul) per row of each part's columns (column j holding the
-    slots of each row's j-th child), planned as one run of steps appended
-    to steps when top is the next free slot; returns the slots of each
-    part's nodes, the last range's stop being the next free slot.  No node
-    is made.  A single part's columns go into the plan as they are."""
-    columns = parts[0] if len(parts) == 1 else [[*chain.from_iterable(c)] for c in zip(*parts)]
-    slots = _add_steps(steps, op, columns, top)
-    ends = [*accumulate((len(part[0]) for part in parts), initial=slots.start)]
-    return [*map(range, ends, ends[1:])]
-
-
-def _hand_over(labels: list, steps: list) -> _Internal:
+def _hand_over(labels: list, steps: list) -> Expression:
     """The root of a build or a parse: a bare Sum or Product, the kind of
     the last step, holding only its slot plan (labels, steps) (see _plan).
-    Its children are made from the plan when first read (see _spliced)."""
+    Its children are made from the plan when first read (see _spliced).
+    A plan without steps has at most one label (a parse's too: the grammar
+    has no 0, and flattening drops none); its root is that label's Term, or
+    UNIT if it has none."""
+    if not steps:
+        return Term(labels[0]) if labels else UNIT
     e = object.__new__(Sum if steps[-1][0] is add else Product)
     object.__setattr__(e, "_slot_plan", (labels, steps))
     return e
@@ -738,7 +730,8 @@ def parse(text: str) -> Expression:
     it is interned, and the bins of the groups that the root reaches become
     its slot plan (_steps_of_bins), which the root holds alone as a
     builder's does (_hand_over); its nodes are made on the first read of
-    `children`.  A root of 1 or one label is UNIT or that label's Term.
+    `children`.  A root of 1 or one label plans no step, and _hand_over
+    makes it UNIT or that label's Term.
     """
     leaves: dict[str, int] = {}  # label text as written, and as printed -> its ref
     labels: list[Label] = []
@@ -863,8 +856,6 @@ def parse(text: str) -> Expression:
         raise ParseError(f"expected ')' to close the '(' at {stack[-1][2]}", len(text))
     summands.append(build(False, factors))
     root = build(True, summands)
-    if root < 0:
-        return UNIT if root == -1 else Term(labels[-2 - root])
     if spliced:
         # A group's children have smaller refs, so one pass down from the
         # root marks every group it reaches; a leaf's ref (< 0) marks the

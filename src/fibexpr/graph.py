@@ -24,13 +24,12 @@ from .expr import (
     ExprError,
     Label,
     SizeExceeded,
-    Term,
     UnassignedLabel,
+    _add_steps,
     _as_batch,
     _check_int,
     _edge_labels,
     _hand_over,
-    _make_group,
     _values,
     evaluate_mod,
     expand,
@@ -105,13 +104,11 @@ def path_vertex_sequences(n: int) -> list[tuple]:
 def canonical_expression(n: int) -> Expression:
     """Sequential-paths expression: the sum over all paths of the product of
     their edge labels, labels in source-to-sink order.  The path products
-    are planned by arity, one node per row of label slots, and only the slot
-    plan is made and handed over with the root (see decompose._build)."""
+    are planned by arity, one node per row of label slots, then their Sum,
+    and only the slot plan is made and handed over with the root (_hand_over)."""
     _check_n(n, minimum=2)
     paths = _paths(n)
     labels = _edge_labels(n)  # edge index k at slot k+2
-    if n == 2:
-        return Term(labels[0])  # one path of one edge
     by_arity: dict[int, list] = {}
     for k, path in enumerate(paths):
         if len(path) > 1:
@@ -121,11 +118,12 @@ def canonical_expression(n: int) -> Expression:
     top = 2 + len(labels)  # the next free slot
     for ks in by_arity.values():
         columns = [[*map(add, column, repeat(2))] for column in zip(*map(paths.__getitem__, ks))]
-        slots, = _make_group(top, steps, mul, [columns])
+        slots = _add_steps(steps, mul, columns, top)
         top = slots.stop
         for k, at in zip(ks, slots):
             summands[k] = at
-    _make_group(top, steps, add, [[*zip(summands)]])
+    if len(paths) > 1:
+        _add_steps(steps, add, [*zip(summands)], top)  # one Sum, one column per path
     return _hand_over(labels, steps)
 
 

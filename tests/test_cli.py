@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from fibexpr.cli import _exact_int_strings, main
+from fibexpr.cli import METHODS, _exact_int_strings, main
 from fibexpr.expr import format_expression, metric_plus, metric_terms, parse
 from fibexpr.optimize import build_expression, recurrence_P
 
@@ -30,9 +30,15 @@ class TestExpr:
         result = run("expr", "--n", "9", "--method", "middle")
         assert "terms=31 plus=11" in result.output
 
-    def test_n2_formula(self):
-        result = run("expr", "--n", "2", "--method", "middle")
-        assert result.output.splitlines() == ["a1", "terms=1 plus=0"]
+    @pytest.mark.parametrize("n, method", [(n, method) for n in (1, 2) for method in METHODS
+                                           if (n, method) != (1, "canonical")])
+    def test_n2_formula(self, n, method):
+        # every method's one- and two-vertex roots are leaves: 1 and a1
+        options = {"fixed": ["--vertex", "1"], "seeded": ["--seed", "1"], "gd": ["--m", "3"]}
+        result = run("expr", "--n", str(n), "--method", method, *options.get(method, []))
+        assert result.exit_code == 0
+        assert result.output.splitlines() == (["1", "terms=0 plus=0"] if n == 1
+                                              else ["a1", "terms=1 plus=0"])
 
     def test_json_round_trips(self):
         result = run("expr", "--n", "9", "--method", "middle", "--format", "json")
@@ -290,6 +296,8 @@ class TestVerify:
     ("expr --n 40 --method gd --m 40", "summands"),
     ("fit --m 100 --n-list 64,128,256,512", "summands"),
     ("expr --n 1024 --method gd --m 20", "a build of at least"),
+    ("expr --n 1000000000 --method seeded --seed 1", "a build of at least 999999999 summands"),
+    ("expr --n 1000000000 --method gd --m 3", "a build of at least 999999999 summands"),
 ])
 def test_domain_errors_exit_2_without_traceback(args, message):
     result = run(*args.split())

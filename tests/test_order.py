@@ -4,8 +4,9 @@ compiled once and cached for any other root."""
 import gc
 import random
 import re
+import tracemalloc
 import weakref
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import add, mul
 
 import pytest
@@ -267,6 +268,35 @@ class TestNodesOnDemand:
         assert not hasattr(e, "nope")
         with pytest.raises(AttributeError):
             Sum.__new__(Sum).children  # no plan to make them from
+
+    def test_made_nodes_share_their_class_attribute_table(self):
+        # A name that a class's shared attribute table lacks gives each node
+        # that sets it a dict of its own, so _origin would cost ~3x a node.
+        groups = []
+
+        def record(kind, rows, origins):
+            rows = [*rows]  # origins has no end
+            groups.append((kind, rows, [*islice(origins, len(rows))]))
+            return [None] * len(rows)
+
+        fibexpr.expr._spliced(decompose(1024), Term, record)
+
+        def children_only(kind, rows, origins):
+            made = [*map(object.__new__, repeat(kind, len(rows)))]
+            any(map(object.__setattr__, made, repeat("children"), rows))
+            return made
+
+        def bytes_per_node(make):
+            tracemalloc.start()
+            try:
+                made = [make(kind, rows, origins) for kind, rows, origins in groups]
+                used = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return used / sum(map(len, made))
+
+        with_origin = bytes_per_node(fibexpr.expr._nodes)
+        assert with_origin <= 1.1 * bytes_per_node(children_only)
 
 
 def parsed_texts():
